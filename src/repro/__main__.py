@@ -222,7 +222,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.bounds import resolve_capacity, static_report
     from repro.arch.config import SparsepipeConfig
     from repro.arch.loaders import LoadPlan
-    from repro.arch.simulator import SparsepipeSimulator
+    from repro.engine.registry import run_engine
     from repro.matrices import SUITE
     from repro.workloads.registry import get_workload, workload_names
 
@@ -245,8 +245,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             report = static_report(
                 graph, profile, plan, config, capacity, matrix=args.matrix
             )
-            result = SparsepipeSimulator(config).run(
-                profile, prep, paper_nnz=paper_nnz, observers=()
+            result = run_engine(
+                "sparsepipe", config, profile, prep,
+                paper_nnz=paper_nnz, observers=(),
             )
             oracle = report.check_against(result)
             oracle.extend(report.diagnostics)

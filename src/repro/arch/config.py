@@ -133,9 +133,16 @@ class SparsepipeConfig:
         and interpreter runs (unlike ``hash()``/``id()``), so this is
         the key the experiment caches and the on-disk result cache
         share.
+
+        The key is computed once per instance and kept: the instance is
+        frozen, and sweeps ask for it on every point.
         """
-        doc = json.dumps(asdict(self), sort_keys=True, default=float)
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+        key = getattr(self, "_cache_key", None)
+        if key is None:
+            doc = json.dumps(asdict(self), sort_keys=True, default=float)
+            key = hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def with_memory(self, memory: MemoryConfig) -> "SparsepipeConfig":
         """The iso-CPU / iso-GPU variants of Table II."""

@@ -105,7 +105,7 @@ class LoadPlan:
                         1, source.dual.nnz
                     )
         else:
-            coo = source.deduplicate()
+            coo = source.canonical()
             if element_bytes is None:
                 element_bytes = 12.0  # 4-byte coordinate + 8-byte value
         if coo.nrows != coo.ncols:

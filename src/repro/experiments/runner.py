@@ -166,15 +166,17 @@ class ExperimentContext:
         block_size: object = "default",
     ) -> PreprocessResult:
         """Preprocessed matrix; pass explicit ``reorder``/``block_size``
-        for the Fig 19/20 sensitivity variants."""
-        if reorder == "default":
-            reorder = self.reorder
-        if block_size == "default":
-            block_size = self.block_size
+        for the Fig 19/20 sensitivity variants. Variants that differ only
+        in ``block_size`` share one reorder and one dual storage."""
+        reorder, block_size = self._resolve(reorder, block_size)
         key = (matrix_name, reorder, block_size)
         if key not in self._preps:
-            self._preps[key] = preprocess(
-                load_suite_matrix(matrix_name), reorder=reorder, block_size=block_size
+            sibling = next((prep for (m, r, _), prep in self._preps.items()
+                            if (m, r) == (matrix_name, reorder)), None)
+            self._preps[key] = (
+                sibling.with_block_size(block_size) if sibling is not None
+                else preprocess(load_suite_matrix(matrix_name),
+                                reorder=reorder, block_size=block_size)
             )
         return self._preps[key]
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.compressed import INDEX_BYTES, VALUE_BYTES
+from repro.formats.convert import stable_order
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 
@@ -77,14 +78,17 @@ class BlockedDualStorage:
                 f"block_size must be in [1, 256] for 1-byte local coordinates, "
                 f"got {block_size}"
             )
-        dedup = coo.deduplicate()
+        dedup = coo.canonical()
         brow = dedup.rows // block_size
         bcol = dedup.cols // block_size
-        order = np.lexsort((dedup.cols, dedup.rows, bcol, brow))
+        n_block_rows = max(1, -(-dedup.nrows // block_size))
+        n_block_cols = max(1, -(-dedup.ncols // block_size))
+        # dedup is row-major, so a stable sort on the block coordinate
+        # alone orders entries by (block row, block col, row, col).
+        order = stable_order(n_block_rows, n_block_cols, brow, bcol)
         brow, bcol = brow[order], bcol[order]
         rows, cols, vals = dedup.rows[order], dedup.cols[order], dedup.vals[order]
 
-        n_block_cols = max(1, -(-dedup.ncols // block_size))
         keys = brow * n_block_cols + bcol
         if keys.size:
             boundaries = np.concatenate(([True], keys[1:] != keys[:-1]))
@@ -123,7 +127,7 @@ class BlockedDualStorage:
         np.cumsum(counts, out=self.row_block_indptr[1:])
         self.row_block_ids = ids  # blocks are already sorted row-major
 
-        col_order = np.lexsort((self.block_rows, self.block_cols))
+        col_order = stable_order(n_bcol, n_brow, self.block_cols, self.block_rows)
         counts = np.bincount(self.block_cols, minlength=n_bcol)
         self.col_block_indptr = np.zeros(n_bcol + 1, dtype=np.int64)
         np.cumsum(counts, out=self.col_block_indptr[1:])

@@ -8,11 +8,12 @@ terms of a *major* dimension (rows for CSR, columns for CSC) and a
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
+from repro.formats.convert import canonical_order
 
 INDEX_BYTES = 4  # the paper assumes >= 4-byte coordinates (Section IV-E2)
 VALUE_BYTES = 8  # 64-bit data type, as in the paper's evaluation (Section VI-C)
@@ -49,7 +50,30 @@ class _Compressed:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data)
+        self._major_ids: Optional[np.ndarray] = None
         self._validate()
+
+    @classmethod
+    def from_coordinates(
+        cls,
+        shape: Tuple[int, int],
+        major: np.ndarray,
+        minor: np.ndarray,
+        vals: np.ndarray,
+    ):
+        """Compress coordinates along this format's major dimension
+        (rows for CSR). Input need not be sorted or deduplicated:
+        duplicates are summed and explicit zeros kept
+        (:func:`~repro.formats.convert.canonical_order`). Canonical
+        input is neither sorted nor copied, and its major coordinates
+        serve as :meth:`major_ids`."""
+        n_major, n_minor = shape if cls._row_major else shape[::-1]
+        major, minor, vals = canonical_order(n_major, n_minor, major, minor, vals)
+        indptr = np.zeros(n_major + 1, dtype=np.int64)
+        np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+        out = cls(shape, indptr, minor, vals)
+        out._major_ids = major
+        return out
 
     # ------------------------------------------------------------------
     # Dimension bookkeeping
@@ -109,6 +133,17 @@ class _Compressed:
         """Number of stored entries in each major slice."""
         return np.diff(self.indptr)
 
+    def major_ids(self) -> np.ndarray:
+        """Major coordinate of every stored entry (the row of each entry
+        for CSR), ascending. Built once, on first use or by
+        :meth:`from_coordinates`: the contraction kernels reuse it on
+        every call, so treat it as read-only."""
+        if self._major_ids is None:
+            self._major_ids = np.repeat(
+                np.arange(self.n_major, dtype=np.int64), self.major_nnz()
+            )
+        return self._major_ids
+
     def slice_bytes(self) -> np.ndarray:
         """Bytes occupied by each major slice: one coordinate plus one
         value per stored entry. This is the traffic unit of the
@@ -120,7 +155,7 @@ class _Compressed:
     # ------------------------------------------------------------------
     def to_coo_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expand to ``(rows, cols, vals)`` coordinate arrays."""
-        major = np.repeat(np.arange(self.n_major, dtype=np.int64), self.major_nnz())
+        major = self.major_ids().copy()
         if self._row_major:
             return major, self.indices.copy(), self.data.copy()
         return self.indices.copy(), major, self.data.copy()

@@ -14,14 +14,16 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
+from repro.formats.convert import canonical_order
 
 
 class COOMatrix:
     """An ``nrows x ncols`` sparse matrix as parallel coordinate arrays.
 
-    Duplicate coordinates are allowed on construction and summed by
-    :meth:`deduplicate`; the compressed formats require deduplicated,
-    sorted input and call it internally.
+    Duplicate coordinates are allowed on construction; :meth:`canonical`
+    (and its copying twin :meth:`deduplicate`) sums them and sorts
+    row-major. The suite generators and preprocessing hand out
+    canonical matrices, so the consumers after them skip the sort.
     """
 
     def __init__(
@@ -101,22 +103,34 @@ class COOMatrix:
     # ------------------------------------------------------------------
     # Normalization
     # ------------------------------------------------------------------
+    def canonical(self) -> "COOMatrix":
+        """This matrix in canonical form: sorted row-major, duplicates
+        summed, explicit zeros removed
+        (:func:`~repro.formats.convert.canonical_order`).
+
+        A matrix that already is canonical comes back as it is, with no
+        sort and no copy, so consumers that only read it (the compressed
+        formats, preprocessing, :class:`~repro.graphblas.Matrix`) share
+        its arrays; like every format here, COO arrays are never
+        mutated in place.
+        """
+        rows, cols, vals = canonical_order(
+            self.nrows, self.ncols, self.rows, self.cols, self.vals
+        )
+        keep = vals != 0
+        if not keep.all():
+            return COOMatrix(self.shape, rows[keep], cols[keep], vals[keep])
+        if rows is self.rows:
+            return self
+        return COOMatrix(self.shape, rows, cols, vals)
+
     def deduplicate(self) -> "COOMatrix":
         """Return a copy with duplicates summed, sorted row-major, and
-        explicit zeros removed."""
-        if self.nnz == 0:
-            return COOMatrix(self.shape, self.rows, self.cols, self.vals)
-        order = np.lexsort((self.cols, self.rows))
-        rows, cols, vals = self.rows[order], self.cols[order], self.vals[order]
-        keys = rows * self.ncols + cols
-        boundaries = np.concatenate(([True], keys[1:] != keys[:-1]))
-        group = np.cumsum(boundaries) - 1
-        summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
-        np.add.at(summed, group, vals)
-        urows = rows[boundaries]
-        ucols = cols[boundaries]
-        keep = summed != 0
-        return COOMatrix(self.shape, urows[keep], ucols[keep], summed[keep])
+        explicit zeros removed: :meth:`canonical` in fresh arrays."""
+        out = self.canonical()
+        if out is self:
+            return COOMatrix(self.shape, self.rows.copy(), self.cols.copy(), self.vals.copy())
+        return out
 
     def transpose(self) -> "COOMatrix":
         """Return the transposed matrix (swaps coordinate arrays)."""

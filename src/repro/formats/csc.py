@@ -12,7 +12,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.formats.compressed import _Compressed
-from repro.formats.convert import coo_to_compressed
 from repro.formats.coo import COOMatrix
 
 
@@ -26,10 +25,7 @@ class CSCMatrix(_Compressed):
     # ------------------------------------------------------------------
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
-        indptr, indices, data = coo_to_compressed(
-            coo.ncols, coo.cols, coo.rows, coo.vals
-        )
-        return cls(coo.shape, indptr, indices, data)
+        return cls.from_coordinates(coo.shape, coo.cols, coo.rows, coo.vals)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":
@@ -75,6 +71,5 @@ class CSCMatrix(_Compressed):
             raise ValueError(f"vector length {x.shape} does not match nrows {self.nrows}")
         products = self.data * x[self.indices]
         out = np.zeros(self.ncols, dtype=np.result_type(self.data, x))
-        col_ids = np.repeat(np.arange(self.ncols, dtype=np.int64), self.col_nnz())
-        np.add.at(out, col_ids, products)
+        np.add.at(out, self.major_ids(), products)
         return out

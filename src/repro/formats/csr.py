@@ -12,7 +12,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.formats.compressed import _Compressed
-from repro.formats.convert import coo_to_compressed
 from repro.formats.coo import COOMatrix
 
 
@@ -26,10 +25,7 @@ class CSRMatrix(_Compressed):
     # ------------------------------------------------------------------
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSRMatrix":
-        indptr, indices, data = coo_to_compressed(
-            coo.nrows, coo.rows, coo.cols, coo.vals
-        )
-        return cls(coo.shape, indptr, indices, data)
+        return cls.from_coordinates(coo.shape, coo.rows, coo.cols, coo.vals)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
@@ -82,6 +78,5 @@ class CSRMatrix(_Compressed):
             raise ValueError(f"vector length {x.shape} does not match ncols {self.ncols}")
         products = self.data * x[self.indices]
         out = np.zeros(self.nrows, dtype=np.result_type(self.data, x))
-        row_ids = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
-        np.add.at(out, row_ids, products)
+        np.add.at(out, self.major_ids(), products)
         return out

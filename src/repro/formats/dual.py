@@ -40,8 +40,8 @@ class DualStorage:
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "DualStorage":
-        dedup = coo.deduplicate()
-        return cls(csc=CSCMatrix.from_coo(dedup), csr=CSRMatrix.from_coo(dedup))
+        coo = coo.canonical()
+        return cls(csc=CSCMatrix.from_coo(coo), csr=CSRMatrix.from_coo(coo))
 
     @classmethod
     def from_csr(cls, csr: CSRMatrix) -> "DualStorage":

@@ -164,7 +164,7 @@ def write_matrix_market(
             write_matrix_market(matrix, handle)
         return
 
-    dedup = matrix.deduplicate()
+    dedup = matrix.canonical()
     destination.write("%%MatrixMarket matrix coordinate real general\n")
     destination.write(f"{dedup.nrows} {dedup.ncols} {dedup.nnz}\n")
     for r, c, v in zip(dedup.rows, dedup.cols, dedup.vals):

@@ -7,7 +7,7 @@ the host-side mirror of Sparsepipe's dual sparse storage.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -15,14 +15,17 @@ from repro.formats.coo import COOMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 
+T = TypeVar("T")
+
 
 class Matrix:
     """Immutable sparse matrix with lazy dual-orientation views."""
 
     def __init__(self, coo: COOMatrix) -> None:
-        self._coo = coo.deduplicate()
+        self._coo = coo.canonical()
         self._csr: Optional[CSRMatrix] = None
         self._csc: Optional[CSCMatrix] = None
+        self._derived: Dict[Callable, object] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -83,6 +86,15 @@ class Matrix:
         if self._csc is None:
             self._csc = CSCMatrix.from_coo(self._coo)
         return self._csc
+
+    def derived(self, build: Callable[["Matrix"], T]) -> T:
+        """``build(self)``, built on first use and kept, like :attr:`csr`
+        and :attr:`csc` — for operands that are pure functions of this
+        matrix (the solvers' SPD system), so every caller shares one
+        build."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     def to_dense(self) -> np.ndarray:
         return self._coo.to_dense()

@@ -88,6 +88,26 @@ def _finalize(
 # ----------------------------------------------------------------------
 # Matrix-vector contractions
 # ----------------------------------------------------------------------
+def _contributing(compressed, v: Vector):
+    """``(minor, major, data, hit)`` of the stored entries whose minor
+    coordinate hits a stored entry of ``v``, in storage order; ``hit``
+    marks the major slices that keep at least one entry.
+
+    A fully-present ``v`` keeps every entry, so the compressed arrays
+    are used as they are instead of being compacted through an
+    all-true mask: the same values reach the same ``mul`` and the same
+    fold, for every semiring, and the hit slices are the non-empty ones.
+    """
+    if v.present.all():
+        return (compressed.indices, compressed.major_ids(), compressed.data,
+                compressed.major_nnz() > 0)
+    contributes = v.present[compressed.indices]
+    major = compressed.major_ids()[contributes]
+    hit = np.zeros(compressed.n_major, dtype=bool)
+    hit[major] = True
+    return compressed.indices[contributes], major, compressed.data[contributes], hit
+
+
 def vxm(
     v: Vector,
     a: Matrix,
@@ -101,15 +121,9 @@ def vxm(
     products of stored ``v[i]`` with stored ``A[i, j]`` down column ``j``."""
     if v.size != a.nrows:
         raise ShapeError(f"vector size {v.size} does not match nrows {a.nrows}")
-    csc = a.csc
-    col_ids = np.repeat(np.arange(a.ncols, dtype=np.int64), csc.col_nnz())
-    contributes = v.present[csc.indices]
-    rows = csc.indices[contributes]
-    cols = col_ids[contributes]
-    products = semiring.mul(v.values[rows], csc.data[contributes])
+    rows, cols, data, raw_present = _contributing(a.csc, v)
+    products = semiring.mul(v.values[rows], data)
     raw_values = _segment_reduce(semiring.add, products, cols, a.ncols, kernel)
-    raw_present = np.zeros(a.ncols, dtype=bool)
-    raw_present[cols] = True
     return _finalize(raw_values, raw_present, mask, accum, out)
 
 
@@ -125,15 +139,9 @@ def mxv(
     """``w = A v`` over ``semiring`` — the row-oriented dual of :func:`vxm`."""
     if v.size != a.ncols:
         raise ShapeError(f"vector size {v.size} does not match ncols {a.ncols}")
-    csr = a.csr
-    row_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), csr.row_nnz())
-    contributes = v.present[csr.indices]
-    cols = csr.indices[contributes]
-    rows = row_ids[contributes]
-    products = semiring.mul(csr.data[contributes], v.values[cols])
+    cols, rows, data, raw_present = _contributing(a.csr, v)
+    products = semiring.mul(data, v.values[cols])
     raw_values = _segment_reduce(semiring.add, products, rows, a.nrows, kernel)
-    raw_present = np.zeros(a.nrows, dtype=bool)
-    raw_present[rows] = True
     return _finalize(raw_values, raw_present, mask, accum, out)
 
 
@@ -143,7 +151,7 @@ def mxm(a: Matrix, b: Matrix, semiring: Semiring = MUL_ADD) -> Matrix:
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.ncols} vs {b.nrows}")
     a_csr, b_csr = a.csr, b.csr
-    i_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), a_csr.row_nnz())
+    i_ids = a_csr.major_ids()
     k_ids = a_csr.indices
     counts = (b_csr.indptr[k_ids + 1] - b_csr.indptr[k_ids]).astype(np.int64)
     total = int(counts.sum())
@@ -182,7 +190,7 @@ def mxm_dense(a: Matrix, b: np.ndarray, semiring: Semiring = MUL_ADD) -> np.ndar
             f"mxm_dense needs a ufunc-backed add monoid, got {semiring.add.name}"
         )
     csr = a.csr
-    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), csr.row_nnz())
+    rows = csr.major_ids()
     products = semiring.mul(csr.data[:, None], b[csr.indices])
     out = np.full((a.nrows, b.shape[1]), semiring.zero, dtype=np.float64)
     # rows is sorted (a repeat of arange) and out is identity-filled,

@@ -18,7 +18,7 @@ def _finalize(n: int, rows: np.ndarray, cols: np.ndarray, rng: np.random.Generat
     keep = rows != cols
     rows, cols = rows[keep], cols[keep]
     vals = rng.uniform(0.5, 1.5, size=rows.size)
-    return COOMatrix((n, n), rows, cols, vals).deduplicate()
+    return COOMatrix((n, n), rows, cols, vals).canonical()
 
 
 def rmat(

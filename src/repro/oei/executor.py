@@ -89,8 +89,7 @@ def run_reference(
         scalars = scalar_update(k, x)
         aux = aux_provider(k, x)
         products = semiring.mul(x[csc.indices], csc.data)
-        col_ids = np.repeat(np.arange(n, dtype=np.int64), csc.col_nnz())
-        y = _segment_reduce(semiring.add, products, col_ids, n, kernel)
+        y = _segment_reduce(semiring.add, products, csc.major_ids(), n, kernel)
         x = program.run_elementwise(y, all_idx, aux, scalars)
         trace.y_history.append(y)
         trace.x_history.append(x.copy())

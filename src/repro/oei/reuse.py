@@ -81,7 +81,7 @@ def reuse_footprint(
         rows, cols, _ = matrix.to_coo_arrays()
         shape = matrix.shape
     else:
-        dedup = matrix.deduplicate()
+        dedup = matrix.canonical()
         rows, cols, shape = dedup.rows, dedup.cols, dedup.shape
     nnz = rows.size
     extra_lag = IS_LAG * (fusion_depth - 2)

@@ -8,7 +8,7 @@ reordered matrix to the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -37,6 +37,18 @@ class PreprocessResult:
     blocked: Optional[BlockedDualStorage]
     reorder_name: str
     block_size: Optional[int]
+
+    def with_block_size(self, block_size: Optional[int]) -> "PreprocessResult":
+        """This result under another blocking (``None``: unblocked).
+
+        The permutation, the reordered matrix and the dual storage are
+        shared, not rebuilt: the Fig 19/20 variants of one (matrix,
+        reorder) differ only in the blocked storage.
+        """
+        blocked = None
+        if block_size is not None:
+            blocked = BlockedDualStorage.from_coo(self.matrix, block_size=block_size)
+        return replace(self, blocked=blocked, block_size=block_size)
 
     @property
     def dual_bytes(self) -> int:
@@ -84,15 +96,15 @@ def preprocess(
         reordered = matrix.permute(row_perm=perm, col_perm=perm)
         reorder_name = reorder
 
-    dual = DualStorage.from_coo(reordered)
-    blocked = None
-    if block_size is not None:
-        blocked = BlockedDualStorage.from_coo(reordered, block_size=block_size)
-    return PreprocessResult(
-        matrix=reordered.deduplicate(),
+    # Sort once: the storages and the result share this canonical
+    # matrix, and none of them sorts it row-major again.
+    canonical = reordered.canonical()
+    unblocked = PreprocessResult(
+        matrix=canonical,
         permutation=perm,
-        dual=dual,
-        blocked=blocked,
+        dual=DualStorage.from_coo(canonical),
+        blocked=None,
         reorder_name=reorder_name,
-        block_size=block_size,
+        block_size=None,
     )
+    return unblocked.with_block_size(block_size)

@@ -32,13 +32,20 @@ from repro.workloads.base import FunctionalResult, Workload
 
 
 def spd_system(matrix: Matrix) -> Matrix:
-    """``M = D - (A + A^T) / 2 + I`` — symmetric positive definite."""
+    """``M = D - (A + A^T) / 2 + I`` — symmetric positive definite.
+
+    Built once per ``matrix`` (:meth:`Matrix.derived`): cg, bgs and
+    gmres share it."""
+    return matrix.derived(_build_spd_system)
+
+
+def _build_spd_system(matrix: Matrix) -> Matrix:
     coo = matrix.coo
     n = matrix.nrows
     rows = np.concatenate((coo.rows, coo.cols))
     cols = np.concatenate((coo.cols, coo.rows))
     vals = np.concatenate((coo.vals, coo.vals)) * -0.5
-    sym = COOMatrix((n, n), rows, cols, vals).deduplicate()
+    sym = COOMatrix((n, n), rows, cols, vals).canonical()
     degree = np.zeros(n)
     np.add.at(degree, sym.rows, -sym.vals)
     diag = np.arange(n)

@@ -124,3 +124,46 @@ def random_programs(draw):
         n_registers=n_instr,
         has_oei=True,
     )
+
+
+#: Stored values the canonical-order kernel must treat exactly: explicit
+#: zeros of both signs beside ordinary finite values.
+coo_values = st.one_of(st.just(0.0), st.just(-0.0), finite)
+
+
+@st.composite
+def raw_coo_entries(draw, max_nnz: int = 40):
+    """Unnormalized ``(shape, rows, cols, vals)`` COO input.
+
+    Coordinates come from small per-dimension pools, so duplicates are
+    frequent; values include ``0.0`` and ``-0.0``; the dtype is float64
+    or int64; ``max_nnz`` may be drawn as zero (empty input). A third of
+    the draws are already canonical (strictly increasing row-major, the
+    first value of each coordinate kept), and a quarter use a shape
+    whose ``nrows * ncols`` reaches ``2**63``: a few rows by at least
+    ``2**62`` columns, so the row dimension stays small enough to
+    compress along.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        shape = (draw(dims(2, 8)), draw(st.integers(2**62, 2**63 - 1)))
+    else:
+        shape = (draw(dims(1, 12)), draw(dims(1, 12)))
+    row_pool = draw(st.lists(st.integers(0, shape[0] - 1), min_size=1, max_size=6))
+    col_pool = draw(st.lists(st.integers(0, shape[1] - 1), min_size=1, max_size=6))
+    nnz = draw(st.integers(0, max_nnz))
+    rows = np.array(draw(st.lists(st.sampled_from(row_pool), min_size=nnz, max_size=nnz)),
+                    dtype=np.int64)
+    cols = np.array(draw(st.lists(st.sampled_from(col_pool), min_size=nnz, max_size=nnz)),
+                    dtype=np.int64)
+    vals = np.array(draw(st.lists(coo_values, min_size=nnz, max_size=nnz)), dtype=np.float64)
+    if draw(st.booleans()):
+        vals = np.trunc(vals).astype(np.int64)
+    if draw(st.integers(0, 2)) == 0:
+        first = {}
+        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            first.setdefault((r, c), v)
+        coords = sorted(first)
+        rows = np.array([r for r, _ in coords], dtype=np.int64)
+        cols = np.array([c for _, c in coords], dtype=np.int64)
+        vals = np.array([first[k] for k in coords], dtype=vals.dtype)
+    return shape, rows, cols, vals

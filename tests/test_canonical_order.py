@@ -1,0 +1,191 @@
+"""The canonical-order kernel against the lexsort implementations it
+replaced.
+
+``COOMatrix.deduplicate`` and ``coo_to_compressed`` share one kernel
+(:func:`repro.formats.convert.canonical_order`) that skips the sort for
+already-canonical input and otherwise sorts on a fused int64 key. The
+oracles below are the previous implementations, kept verbatim apart
+from one repair: the old ``deduplicate`` found duplicate boundaries on
+the fused key ``row * ncols + col``, which wraps around for shapes with
+``nrows * ncols >= 2**63``; the oracle compares coordinates instead,
+as the old ``coo_to_compressed`` did. Every comparison is bitwise and
+includes the dtype.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.formats.convert import canonical_order, coo_to_compressed, stable_order
+from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
+from repro.graphblas.matrix import Matrix
+from tests.strategies import raw_coo_entries
+
+
+def _old_deduplicate(shape, rows, cols, vals):
+    if rows.size == 0:
+        return rows, cols, vals
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    boundaries = np.concatenate(([True], ~same))
+    group = np.cumsum(boundaries) - 1
+    summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
+    np.add.at(summed, group, vals)
+    urows = rows[boundaries]
+    ucols = cols[boundaries]
+    keep = summed != 0
+    return urows[keep], ucols[keep], summed[keep]
+
+
+def _old_coo_to_compressed(n_major, major, minor, vals):
+    major = np.asarray(major, dtype=np.int64)
+    minor = np.asarray(minor, dtype=np.int64)
+    vals = np.asarray(vals)
+    order = np.lexsort((minor, major))
+    major, minor, vals = major[order], minor[order], vals[order]
+    if major.size:
+        keys_equal = (major[1:] == major[:-1]) & (minor[1:] == minor[:-1])
+        if keys_equal.any():
+            boundaries = np.concatenate(([True], ~keys_equal))
+            group = np.cumsum(boundaries) - 1
+            summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
+            np.add.at(summed, group, vals)
+            major, minor, vals = major[boundaries], minor[boundaries], summed
+    counts = np.bincount(major, minlength=n_major)
+    indptr = np.zeros(n_major + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, minor, vals
+
+
+def assert_bitwise(actual, expected):
+    for a, e in zip(actual, expected):
+        assert a.dtype == e.dtype
+        assert a.shape == e.shape
+        assert a.tobytes() == e.tobytes()
+
+
+def _huge(shape) -> bool:
+    return shape[0] * shape[1] >= 2**63
+
+
+class TestAgainstLexsortOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_coo_entries())
+    def test_deduplicate(self, entries):
+        shape, rows, cols, vals = entries
+        coo = COOMatrix(shape, rows, cols, vals)
+        dedup = coo.deduplicate()
+        assert dedup.shape == coo.shape
+        assert_bitwise(
+            (dedup.rows, dedup.cols, dedup.vals),
+            _old_deduplicate(shape, rows, cols, vals),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_coo_entries())
+    def test_coo_to_compressed_row_major(self, entries):
+        (nrows, ncols), rows, cols, vals = entries
+        assert_bitwise(
+            coo_to_compressed(nrows, ncols, rows, cols, vals),
+            _old_coo_to_compressed(nrows, rows, cols, vals),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_coo_entries())
+    def test_coo_to_compressed_column_major(self, entries):
+        (nrows, ncols), rows, cols, vals = entries
+        if _huge((nrows, ncols)):
+            return  # a 2**62-slice indptr does not fit in memory
+        assert_bitwise(
+            coo_to_compressed(ncols, nrows, cols, rows, vals),
+            _old_coo_to_compressed(ncols, cols, rows, vals),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_coo_entries())
+    def test_output_is_fresh(self, entries):
+        shape, rows, cols, vals = entries
+        coo = COOMatrix(shape, rows, cols, vals)
+        dedup = coo.deduplicate()
+        for before, after in ((coo.rows, dedup.rows), (coo.cols, dedup.cols),
+                              (coo.vals, dedup.vals)):
+            assert not np.shares_memory(before, after)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_coo_entries())
+    def test_canonical_is_deduplicate_without_the_copy(self, entries):
+        shape, rows, cols, vals = entries
+        coo = COOMatrix(shape, rows, cols, vals)
+        canonical, dedup = coo.canonical(), coo.deduplicate()
+        assert_bitwise((canonical.rows, canonical.cols, canonical.vals),
+                       (dedup.rows, dedup.cols, dedup.vals))
+        assert canonical.canonical() is canonical
+        already = np.array_equal(rows, dedup.rows) and np.array_equal(cols, dedup.cols)
+        assert (canonical is coo) == (already and vals.size == dedup.vals.size)
+
+    def test_explicit_zeros_dropped_by_deduplicate_kept_by_compression(self):
+        rows = np.array([0, 0, 1, 1])
+        cols = np.array([1, 1, 0, 2])
+        vals = np.array([2.0, -2.0, -0.0, 3.0])
+        dedup = COOMatrix((2, 3), rows, cols, vals).deduplicate()
+        assert dedup.vals.tolist() == [3.0]
+        indptr, indices, data = coo_to_compressed(2, 3, rows, cols, vals)
+        assert indices.tolist() == [1, 0, 2]
+        assert data.tolist() == [0.0, -0.0, 3.0]
+
+
+class TestLexsortFallback:
+    def test_huge_shape_takes_lexsort(self, monkeypatch):
+        """A fused key would overflow, so ``argsort`` is never reached."""
+        shape = (3, 2**62 + 5)
+        rows = np.array([2, 0, 2, 1, 0])
+        cols = np.array([2**62, 7, 2**62, 2**62 + 4, 7])
+        vals = np.array([1.0, 2.0, 3.0, 4.0, -2.0])
+        expected = _old_deduplicate(shape, rows, cols, vals)
+
+        def no_argsort(*args, **kwargs):
+            raise AssertionError("argsort used on an overflowing fused key")
+
+        monkeypatch.setattr(np, "argsort", no_argsort)
+        dedup = COOMatrix(shape, rows, cols, vals).deduplicate()
+        assert_bitwise((dedup.rows, dedup.cols, dedup.vals), expected)
+        assert dedup.cols.tolist() == [2**62 + 4, 2**62]
+
+    def test_fused_key_matches_lexsort_permutation(self):
+        gen = np.random.default_rng(3)
+        rows = gen.integers(0, 50, 5000)
+        cols = gen.integers(0, 70, 5000)
+        assert np.array_equal(
+            stable_order(50, 70, rows, cols), np.lexsort((cols, rows))
+        )
+
+
+class TestCanonicalInputIsNeverSorted:
+    @pytest.fixture
+    def no_sorts(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("canonical input was sorted")
+
+        monkeypatch.setattr(np, "argsort", boom)
+        monkeypatch.setattr(np, "lexsort", boom)
+
+    def test_deduplicate_compress_and_wrap(self, small_coo, no_sorts):
+        dedup = small_coo.deduplicate()
+        assert np.array_equal(dedup.rows, small_coo.rows)
+        csr = CSRMatrix.from_coo(dedup)
+        assert csr.nnz == small_coo.nnz
+        matrix = Matrix(dedup)
+        assert matrix.csr == csr
+
+    def test_huge_canonical_shape(self, no_sorts):
+        rows = np.array([0, 0, 1])
+        cols = np.array([3, 2**62, 0])
+        out = canonical_order(2, 2**62 + 1, rows, cols, np.ones(3))
+        assert out[1].tolist() == [3, 2**62, 0]
+
+    def test_unsorted_input_does_sort(self, no_sorts):
+        coo = COOMatrix((2, 2), np.array([1, 0]), np.array([0, 1]), np.ones(2))
+        with pytest.raises(AssertionError, match="sorted"):
+            coo.deduplicate()

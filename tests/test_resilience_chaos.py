@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import FormatError, InjectedFault
 from repro.experiments.runner import ExperimentContext
 from repro.formats import read_matrix_market
@@ -310,3 +311,26 @@ class TestChaosObservedRun:
         fired = drain_fired()
         sites = {d.location.split("[")[0] for d in fired}
         assert "engine.run" in sites
+
+
+class TestChaosCheckCommand:
+    """``python -m repro check`` simulates through ``run_engine`` like
+    every other caller, so the ``engine.run`` site covers it too."""
+
+    def test_check_hits_engine_run_site(self):
+        plan = FaultPlan(seed=SEED, faults={
+            "engine.run": Fault(kind="raise", rate=1.0)})
+        with activate(plan):
+            with pytest.raises(InjectedFault):
+                main(["check", "pr", "--backend", "vectorized"])
+        fired = drain_fired()
+        sites = {d.location.split("[")[0] for d in fired}
+        assert "engine.run" in sites
+
+    def test_check_passes_with_the_site_armed_at_rate_zero(self, capsys):
+        plan = FaultPlan(seed=SEED, faults={
+            "engine.run": Fault(kind="raise", rate=0.0)})
+        with activate(plan):
+            assert main(["check", "pr", "--backend", "both"]) == 0
+        assert drain_fired() == []
+        assert "2 point(s) checked: 0 violation(s)" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Smoke tests for the shared hypothesis strategy module itself."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +15,7 @@ from tests.strategies import (
     finite_lists,
     monoid_names,
     random_programs,
+    raw_coo_entries,
     seeds,
     subtensor_widths,
 )
@@ -98,3 +100,15 @@ def test_random_programs_are_well_formed(program, _flag):
     # Aux/scalar declarations match actual operand usage flags.
     assert set(program.aux_vectors) <= {"a0"}
     assert set(program.scalar_names) <= {"s0"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_coo_entries())
+def test_raw_coo_entries_are_in_range(entries):
+    (nrows, ncols), rows, cols, vals = entries
+    assert rows.shape == cols.shape == vals.shape
+    assert rows.dtype == cols.dtype == np.int64
+    assert vals.dtype in (np.float64, np.int64)
+    if rows.size:
+        assert 0 <= rows.min() and rows.max() < nrows
+        assert 0 <= cols.min() and cols.max() < ncols
