@@ -22,8 +22,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.formats.csc import CSCMatrix
     from repro.formats.csr import CSRMatrix
 
-#: ``major * n_minor + minor`` must fit in an int64 for the fused key.
+#: ``major * n_minor + minor`` must fit in an int64 for the fused-key
+#: canonical check.
 _FUSED_KEY_LIMIT = 2**63
+
+#: Bits per radix pass: numpy's stable argsort of a 16-bit key is a
+#: radix sort.
+_DIGIT_BITS = 16
+
+
+def _digit_shifts(n: int) -> range:
+    """Shifts of the 16-bit digits that coordinates below ``n`` span,
+    least significant first (none when ``n <= 1``)."""
+    bits = max(int(n) - 1, 0).bit_length()
+    return range(0, bits, _DIGIT_BITS)
 
 
 def stable_order(
@@ -31,13 +43,22 @@ def stable_order(
 ) -> np.ndarray:
     """The permutation ``np.lexsort((minor, major))`` returns.
 
-    A stable ``argsort`` of the fused key ``major * n_minor + minor``
-    is the same permutation at about twice the speed; ``lexsort`` is
-    kept only for shapes whose fused key would overflow an int64.
+    An LSD radix sort: one stable ``argsort`` of 16-bit digits per pass,
+    over the digits of ``minor`` and then of ``major``, least significant
+    first. Each pass keeps the order of equal digits, so the result is
+    the lexsort permutation for every shape, with no fused key to
+    overflow. Coordinates must lie in ``[0, n_major)`` and ``[0, n_minor)``.
     """
-    if int(n_major) * int(n_minor) >= _FUSED_KEY_LIMIT:
-        return np.lexsort((minor, major))
-    return np.argsort(major * int(n_minor) + minor, kind="stable")
+    order = None
+    for keys, n in ((minor, n_minor), (major, n_major)):
+        for shift in _digit_shifts(n):
+            digit = keys if order is None else keys[order]
+            # The cast to uint16 keeps the low 16 bits.
+            step = np.argsort((digit >> shift).astype(np.uint16), kind="stable")
+            order = step if order is None else order[step]
+    if order is None:
+        return np.arange(np.asarray(major).size, dtype=np.intp)
+    return order
 
 
 def canonical_order(
@@ -55,7 +76,8 @@ def canonical_order(
     canonical COO shares its coordinate and value arrays (every format
     treats its arrays as immutable). Otherwise the sort is stable, and
     when any coordinate repeats, every value is folded in that order
-    from zero (``np.add.at``), so sums are bitwise reproducible.
+    from zero (``np.bincount`` for float64, ``np.add.at`` otherwise),
+    so sums are bitwise reproducible.
     Explicit zeros are kept.
     """
     major = np.asarray(major, dtype=np.int64)
@@ -77,8 +99,12 @@ def canonical_order(
             if repeats.any():
                 boundaries = np.concatenate(([True], ~repeats))
                 group = np.cumsum(boundaries) - 1
-                summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
-                np.add.at(summed, group, vals)
+                if vals.dtype == np.float64:
+                    # The same in-order fold from 0.0 as np.add.at.
+                    summed = np.bincount(group, weights=vals)
+                else:
+                    summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
+                    np.add.at(summed, group, vals)
                 return major[boundaries], minor[boundaries], summed
     return major, minor, vals
 

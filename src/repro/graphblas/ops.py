@@ -191,12 +191,14 @@ def mxm_dense(a: Matrix, b: np.ndarray, semiring: Semiring = MUL_ADD) -> np.ndar
         )
     csr = a.csr
     rows = csr.major_ids()
-    products = semiring.mul(csr.data[:, None], b[csr.indices])
-    out = np.full((a.nrows, b.shape[1]), semiring.zero, dtype=np.float64)
-    # rows is sorted (a repeat of arange) and out is identity-filled,
-    # which is exactly the specialized dense kernel's contract.
-    kernels.dense_update(semiring.add, out, rows, products)
-    return out
+    # One feature column at a time: each pass holds nnz products, never
+    # nnz x F, and folds them with the 1-D kernel (rows is sorted, a
+    # repeat of arange).
+    out_t = np.empty((b.shape[1], a.nrows), dtype=np.float64)
+    for j, column in enumerate(np.ascontiguousarray(b.T)):
+        products = semiring.mul(csr.data, column[csr.indices])
+        out_t[j] = kernels.segment_reduce(semiring.add, products, rows, a.nrows)
+    return np.ascontiguousarray(out_t.T)
 
 
 # ----------------------------------------------------------------------

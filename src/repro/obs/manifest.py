@@ -92,21 +92,40 @@ class RunManifest:
     #: an undisturbed one.
     _UNSTABLE = ("wall_time_s", "from_cache", "coalesced", "status", "faults")
 
+    def _plain(self) -> Tuple[Dict[str, object], str]:
+        """``asdict(self)`` and the digest, built once and kept: the
+        instance is frozen, and every result's manifest is serialized
+        more than once (the result store, the export). Instances made
+        by ``replace()`` start without the memo."""
+        memo = self.__dict__.get("_plain_memo")
+        if memo is None:
+            doc = asdict(self)
+            stable = {k: v for k, v in doc.items() if k not in self._UNSTABLE}
+            text = json.dumps(stable, sort_keys=True)
+            memo = (doc, hashlib.sha256(text.encode("utf-8")).hexdigest()[:16])
+            object.__setattr__(self, "_plain_memo", memo)
+        return memo
+
+    def _fresh_dict(self) -> Dict[str, object]:
+        """A copy of the memoized plain dict that callers may mutate."""
+        doc = dict(self._plain()[0])
+        doc["faults"] = tuple(dict(f) for f in doc["faults"])
+        return doc
+
     def stable_dict(self) -> Dict[str, object]:
         """Every identity-bearing field, JSON-plain."""
-        doc = asdict(self)
+        doc = self._fresh_dict()
         for field in self._UNSTABLE:
             doc.pop(field, None)
         return doc
 
     def digest(self) -> str:
         """Deterministic content hash over the stable fields."""
-        doc = json.dumps(self.stable_dict(), sort_keys=True)
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+        return self._plain()[1]
 
     def to_dict(self) -> Dict[str, object]:
         """Full JSON representation (includes the digest for auditing)."""
-        doc = asdict(self)
+        doc = self._fresh_dict()
         doc["digest"] = self.digest()
         return doc
 

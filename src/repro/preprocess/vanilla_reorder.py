@@ -13,11 +13,11 @@ matrices.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List
 
 import numpy as np
 
+from repro.formats.convert import stable_order
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 
@@ -41,25 +41,35 @@ def vanilla_reorder(coo: COOMatrix) -> np.ndarray:
     n = coo.nrows
     adj = _symmetrized_csr(coo)
     degree = adj.row_nnz()
-    visited = np.zeros(n, dtype=bool)
+    # Sort every adjacency row by (degree, id) once: one stable sort on
+    # (row, degree) of the id-ordered rows. The BFS below then appends
+    # each vertex's unvisited neighbors in row order, which is the
+    # per-vertex degree sort of classic Cuthill-McKee.
+    max_degree = int(degree.max()) if n else 0
+    by_row_degree = stable_order(
+        n, max_degree + 1, adj.major_ids(), degree[adj.indices]
+    )
+    neighbors = adj.indices[by_row_degree].tolist()
+    indptr = adj.indptr.tolist()
+    visited = bytearray(n)
     order: List[int] = []
 
-    # Min-degree start vertex per connected component (classic CM).
-    by_degree = np.argsort(degree, kind="stable")
-    for start in by_degree:
+    # Min-degree start vertex per connected component (classic CM). The
+    # order list doubles as the BFS queue: vertices leave it in the
+    # order they entered it.
+    for start in np.argsort(degree, kind="stable").tolist():
         if visited[start]:
             continue
-        visited[start] = True
-        queue = deque([int(start)])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            neighbors, _ = adj.row(u)
-            fresh = neighbors[~visited[neighbors]]
-            if fresh.size:
-                visited[fresh] = True
-                fresh = fresh[np.argsort(degree[fresh], kind="stable")]
-                queue.extend(int(v) for v in fresh)
+        visited[start] = 1
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in neighbors[indptr[u]:indptr[u + 1]]:
+                if not visited[v]:
+                    visited[v] = 1
+                    order.append(v)
 
     perm = np.empty(n, dtype=np.int64)
     perm[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)

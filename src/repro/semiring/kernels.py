@@ -20,11 +20,16 @@ floats:
   from 0.0, exactly like ``np.add.at`` into an identity-filled output.
   (``np.add.reduceat`` is *not* used: it pairwise-sums, which changes the
   low-order bits of long segments.)
-- **MIN / MAX** — truly associative: any grouping yields the same value,
-  and folding from the ``±inf`` identity is the identity map on the first
-  element. ``ufunc.reduceat`` over contiguous sorted segments, with empty
-  segments masked back to the identity (``reduceat`` would otherwise
-  return a neighbour's value for a zero-length slice).
+- **MIN / MAX** — associative up to ties: any grouping yields the same
+  value, except that numpy's SIMD ``reduceat`` settles a ``0.0``/``-0.0``
+  tie (and which NaN survives) differently from the scalar fold of
+  ``ufunc.at``. Folding from the ``±inf`` identity is the identity map
+  on the first element. ``ufunc.reduceat`` over contiguous sorted
+  segments, with empty segments masked back to the identity
+  (``reduceat`` would otherwise return a neighbour's value for a
+  zero-length slice); the rare segments (or scatter targets) whose
+  batched result is zero or NaN are folded again, in order, through the
+  reference ``ufunc.at``.
 - **LOR** — normalized to ``{0, 1}`` and reduced as MAX, mirroring the
   reference's own normalization.
 
@@ -35,10 +40,9 @@ returning raw, unnormalized values for single-element boolean segments.
 The PLUS *scatter* (merging into a pre-populated output) stays on
 ``np.add.at``: grouping per index and adding one partial sum per target
 would re-associate ``((out + a) + b)`` into ``(out + (a + b))``, which is
-not the same float. MIN/MAX/LOR scatters group safely. The dense update
-(the SpMM of the GCN pipeline) *can* group PLUS, because its output
-starts identity-filled: a per-column ``bincount`` is the same in-order
-fold from 0.0 that ``np.add.at`` performs.
+not the same float. MIN/MAX/LOR scatters group safely. The SpMM of the
+GCN pipeline (:func:`~repro.graphblas.ops.mxm_dense`) needs no kernel of
+its own: it runs :func:`segment_reduce` once per feature column.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ def check_kernel(kernel: str) -> None:
         )
 
 
+def _tied(reduced: np.ndarray) -> np.ndarray:
+    """Where a batched MIN/MAX result may differ in bits from the
+    reference fold: a zero (0.0 and -0.0 compare equal, and SIMD
+    ``reduceat`` keeps either) or a NaN (SIMD ``reduceat`` returns a
+    canonical NaN, the scalar fold the first NaN it meets)."""
+    return (reduced == 0) | np.isnan(reduced)
+
+
 def _reduceat_sorted(
     ufunc: np.ufunc,
     values: np.ndarray,
@@ -69,8 +81,14 @@ def _reduceat_sorted(
     n_segments: int,
     identity: float,
     dtype,
+    refold_ties: bool,
 ) -> np.ndarray:
-    """``ufunc`` segment reduction over *sorted* contiguous segments."""
+    """``ufunc`` segment reduction over *sorted* contiguous segments.
+
+    With ``refold_ties``, segments that reduce to zero or NaN are folded
+    again in order through ``ufunc.at``, which picks the sign of a
+    0.0/-0.0 tie (and which NaN survives) the way the reference does.
+    """
     out = np.full(n_segments, identity, dtype=dtype)
     counts = np.bincount(segment_ids, minlength=n_segments)
     nonempty = counts > 0
@@ -79,6 +97,12 @@ def _reduceat_sorted(
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     with np.errstate(invalid="ignore"):
         out[nonempty] = ufunc.reduceat(values, starts[nonempty])
+        if refold_ties:
+            tied = _tied(out)
+            if tied.any():
+                out[tied] = identity
+                redo = tied[segment_ids]
+                ufunc.at(out, segment_ids[redo], values[redo])
     return out
 
 
@@ -110,8 +134,10 @@ def _minmax_segment(monoid: Monoid, ufunc: np.ufunc, normalize: bool) -> Callabl
             if normalize
             else values.astype(dtype, copy=False)
         )
+        # Normalized values are 0.0 or 1.0, so only raw ones can tie.
         return _reduceat_sorted(
-            ufunc, vals, segment_ids, n_segments, monoid.identity, dtype
+            ufunc, vals, segment_ids, n_segments, monoid.identity, dtype,
+            refold_ties=not normalize,
         )
 
     return kernel
@@ -126,48 +152,23 @@ def _minmax_scatter(monoid: Monoid, ufunc: np.ufunc, normalize: bool) -> Callabl
         indices = np.asarray(indices)
         order = np.argsort(indices, kind="stable")
         ids = indices[order]
-        vals = vals[order]
         starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-        with np.errstate(invalid="ignore"):
-            seg = ufunc.reduceat(vals, starts)
         targets = ids[starts]
-        out[targets] = ufunc(out[targets], seg)
-
-    return kernel
-
-
-def _plus_dense(monoid: Monoid) -> Callable:
-    def kernel(out, rows, products):
-        n = out.shape[0]
-        # Per-column bincount: the same in-order fold from the 0.0 fill
-        # that np.add.at performs, one vectorized pass per feature.
-        for j in range(products.shape[1]):
-            out[:, j] = np.bincount(
-                rows, weights=products[:, j], minlength=n
-            )
-
-    return kernel
-
-
-def _minmax_dense(monoid: Monoid, ufunc: np.ufunc, normalize: bool) -> Callable:
-    def kernel(out, rows, products):
-        if normalize:
-            products = (products != 0).astype(out.dtype)
-        counts = np.bincount(rows, minlength=out.shape[0])
-        nonempty = counts > 0
-        if not nonempty.any():
-            return
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        before = out[targets]
         with np.errstate(invalid="ignore"):
-            out[nonempty] = ufunc.reduceat(products, starts[nonempty], axis=0)
-
-    return kernel
-
-
-def _reference_dense(monoid: Monoid) -> Callable:
-    def kernel(out, rows, products):
-        with np.errstate(invalid="ignore"):
-            monoid.op.ufunc.at(out, rows, products)
+            merged = ufunc(before, ufunc.reduceat(vals[order], starts))
+            out[targets] = merged
+            if normalize:
+                return
+            tied = _tied(merged)
+            if tied.any():
+                # Settle ties as the reference's in-order fold does,
+                # from the targets' previous values.
+                out[targets[tied]] = before[tied]
+                redo = np.zeros(out.shape[0], dtype=bool)
+                redo[targets[tied]] = True
+                redo = redo[indices]
+                ufunc.at(out, indices[redo], vals[redo])
 
     return kernel
 
@@ -178,13 +179,11 @@ class KernelSet:
     ``segment_reduce(values, segment_ids, n_segments)`` requires sorted
     ascending ``segment_ids`` (the CSC/CSR slice layout every caller
     already has). ``scatter(out, indices, values)`` merges in place and
-    accepts any order. ``dense_update(out, rows, products)`` requires
-    sorted ``rows`` and an identity-filled 2-D ``out`` (the
-    :func:`~repro.graphblas.ops.mxm_dense` contract). All three are
-    bit-identical to the reference :class:`Monoid` methods.
+    accepts any order. Both are bit-identical to the reference
+    :class:`Monoid` methods.
     """
 
-    __slots__ = ("monoid", "segment_reduce", "scatter", "dense_update")
+    __slots__ = ("monoid", "segment_reduce", "scatter")
 
     def __init__(self, monoid: Monoid) -> None:
         self.monoid = monoid
@@ -194,19 +193,15 @@ class KernelSet:
             # In-order fold into a *pre-populated* out is part of the
             # exactness contract — grouping would re-associate it.
             self.scatter = monoid.scatter
-            self.dense_update = _plus_dense(monoid)
         elif ufunc is np.logical_or:
             self.segment_reduce = _minmax_segment(monoid, np.maximum, True)
             self.scatter = _minmax_scatter(monoid, np.maximum, True)
-            self.dense_update = _minmax_dense(monoid, np.maximum, True)
         elif ufunc is np.minimum or ufunc is np.maximum:
             self.segment_reduce = _minmax_segment(monoid, ufunc, False)
             self.scatter = _minmax_scatter(monoid, ufunc, False)
-            self.dense_update = _minmax_dense(monoid, ufunc, False)
         else:
             self.segment_reduce = monoid.segment_reduce
             self.scatter = monoid.scatter
-            self.dense_update = _reference_dense(monoid)
 
 
 #: One KernelSet per monoid *value* — frozen dataclasses hash by
@@ -254,16 +249,3 @@ def scatter(
     whose in-order fold into ``out`` is part of the exactness contract.
     """
     kernel_set(monoid).scatter(out, indices, values)
-
-
-def dense_update(
-    monoid: Monoid,
-    out: np.ndarray,
-    rows: np.ndarray,
-    products: np.ndarray,
-) -> None:
-    """Batched, bit-identical equivalent of ``monoid.op.ufunc.at(out,
-    rows, products)`` for an identity-filled 2-D ``out`` and sorted
-    ``rows`` — the reduction of :func:`~repro.graphblas.ops.mxm_dense`.
-    """
-    kernel_set(monoid).dense_update(out, rows, products)

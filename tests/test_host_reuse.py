@@ -5,7 +5,8 @@ Each reuse must be invisible in the results: the fully-present
 ``mxv``/``vxm`` path is compared bitwise with the compacting path it
 skips (kept here as the oracle) and with ``kernel="reference"``; the
 SPD-system memo and the shared reorder of the preprocessing variants
-are counted and their outputs compared with fresh builds.
+are counted and their outputs compared with fresh builds, and the
+memoized config key and manifest serialization must equal fresh ones.
 """
 
 import pickle
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.arch.config as config_module
+import repro.obs.manifest as manifest_module
 from repro.arch.config import SparsepipeConfig
 from repro.experiments.fig19 import VARIANTS
 from repro.experiments.runner import ExperimentContext
@@ -22,6 +24,7 @@ from repro.formats.coo import COOMatrix
 from repro.graphblas import Matrix, Vector, mxv, vxm
 from repro.graphblas.ops import _finalize, _segment_reduce
 from repro.matrices.suite import load_suite_matrix
+from repro.obs import MetricsRegistry, RunManifest, build_manifest
 from repro.preprocess import pipeline
 from repro.semiring import SEMIRINGS
 from repro.workloads import solvers
@@ -221,3 +224,68 @@ class TestConfigKeyMemo:
         other = replace(config, eager_is=False)
         assert other.cache_key() != config.cache_key()
         assert pickle.loads(pickle.dumps(config)).cache_key() == config.cache_key()
+
+
+class TestManifestMemo:
+    @staticmethod
+    def _manifest(**kwargs):
+        registry = MetricsRegistry()
+        registry.counter("sim.cycles").inc(100)
+        fields = dict(
+            arch="sparsepipe", workload="bfs", matrix="gy", config="cfgkey",
+            reorder="vanilla", block_size=256, registry=registry, seed=3,
+            wall_time_s=0.5,
+            faults=({"code": "SP601", "severity": "warning", "message": "m",
+                     "location": "", "hint": ""},),
+        )
+        fields.update(kwargs)
+        return build_manifest(**fields)
+
+    def test_serialized_once(self, monkeypatch):
+        manifest = self._manifest()
+        doc, digest = manifest.to_dict(), manifest.digest()
+
+        def no_reserialize(*args, **kwargs):
+            raise AssertionError("a frozen manifest was serialized again")
+
+        monkeypatch.setattr(manifest_module, "asdict", no_reserialize)
+        assert manifest.to_dict() == doc
+        assert manifest.digest() == digest
+        assert manifest.stable_dict() == {
+            k: v for k, v in doc.items()
+            if k not in manifest._UNSTABLE and k != "digest"
+        }
+
+    def test_hands_out_copies(self):
+        manifest = self._manifest()
+        doc = manifest.to_dict()
+        doc["arch"] = "mutated"
+        doc["faults"][0]["code"] = "mutated"
+        manifest.stable_dict()["seed"] = 99
+        again = manifest.to_dict()
+        assert again["arch"] == "sparsepipe"
+        assert again["faults"][0]["code"] == "SP601"
+        assert manifest.stable_dict()["seed"] == 3
+        assert manifest.faults[0]["code"] == "SP601"
+
+    @pytest.mark.parametrize("serve", ("served_from_cache", "served_coalesced"))
+    def test_replaced_manifests_start_fresh(self, serve):
+        manifest = self._manifest()
+        original = manifest.to_dict()
+        served = getattr(manifest, serve)()
+        assert "_plain_memo" not in vars(served)
+        doc = served.to_dict()
+        flag = "from_cache" if serve == "served_from_cache" else "coalesced"
+        assert doc[flag] is True and original[flag] is False
+        fresh = RunManifest.from_dict(doc)
+        assert fresh.digest() == served.digest() == manifest.digest()
+        assert fresh.to_dict() == doc
+
+    def test_memo_is_not_part_of_the_value(self):
+        manifest = self._manifest()
+        untouched = self._manifest()
+        manifest.to_dict()
+        assert manifest == untouched
+        assert "_plain_memo" not in repr(manifest)
+        assert asdict(manifest) == asdict(untouched)
+        assert pickle.loads(pickle.dumps(manifest)).to_dict() == manifest.to_dict()
