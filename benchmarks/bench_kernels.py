@@ -12,6 +12,7 @@ from repro.graphblas import Matrix, Vector, mxm, vxm
 from repro.matrices import rmat
 from repro.oei import run_oei_pairs
 from repro.semiring import AND_OR, MIN_ADD, MUL_ADD
+from repro.semiring.kernels import SlotMajorSpMV
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,15 @@ def test_kernel_vxm_mul_add(benchmark, medium, vector):
     medium.csc  # materialize outside the timed region
     result = benchmark(vxm, vector, medium, MUL_ADD)
     assert result.nvals > 0
+
+
+def test_kernel_spmv_operator_mul_add(benchmark, medium, vector):
+    """The prepared slot-major operator on ``test_kernel_vxm_mul_add``'s
+    matrix and vector, built outside the timed region."""
+    spmv = SlotMajorSpMV(medium.csc)
+    result = benchmark(spmv, vector.values)
+    expected = vxm(vector, medium, MUL_ADD).to_dense()
+    assert result.tobytes() == expected.tobytes()
 
 
 def test_kernel_vxm_min_add(benchmark, medium, vector):

@@ -9,7 +9,10 @@ transposing conversions.
 
 The suite generators and :func:`repro.preprocess.preprocess` hand out
 canonical matrices, so the common case is input that is already
-canonical: one O(nnz) check, no sort and no copy.
+canonical: one O(nnz) check, no sort and no copy. The next most common
+is two sorted runs back to back (``A`` then ``Aᵀ`` from its CSC, or a
+matrix then its diagonal), which is merged in one pass; anything else
+takes the radix sort of :func:`stable_order`.
 """
 
 from __future__ import annotations
@@ -79,11 +82,19 @@ def canonical_order(
     from zero (``np.bincount`` for float64, ``np.add.at`` otherwise),
     so sums are bitwise reproducible.
     Explicit zeros are kept.
+
+    Input made of at most two sorted runs (at most one descent in the
+    fused key ``major * n_minor + minor``), such as a matrix followed by
+    its sorted transpose or by its diagonal, is merged rather than
+    radix-sorted: one stable ``argsort`` of the fused key, which numpy's
+    timsort completes in a single merge pass. Both sorts are stable, so
+    they return the same permutation.
     """
     major = np.asarray(major, dtype=np.int64)
     minor = np.asarray(minor, dtype=np.int64)
     vals = np.asarray(vals)
     if major.size > 1:
+        key = None
         if int(n_major) * int(n_minor) < _FUSED_KEY_LIMIT:
             key = major * int(n_minor) + minor
             canonical = bool(np.all(key[1:] > key[:-1]))
@@ -93,7 +104,11 @@ def canonical_order(
                 | ((major[1:] == major[:-1]) & (minor[1:] > minor[:-1]))
             ))
         if not canonical:
-            order = stable_order(n_major, n_minor, major, minor)
+            if key is not None and np.count_nonzero(key[1:] < key[:-1]) <= 1:
+                # int64 keys take timsort, which merges the two runs.
+                order = np.argsort(key, kind="stable")
+            else:
+                order = stable_order(n_major, n_minor, major, minor)
             major, minor, vals = major[order], minor[order], vals[order]
             repeats = (major[1:] == major[:-1]) & (minor[1:] == minor[:-1])
             if repeats.any():

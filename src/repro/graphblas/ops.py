@@ -57,8 +57,16 @@ def _finalize(
     The mask limits which computed entries land in the output; with an
     accumulator, stored entries of ``out`` outside the computed/masked
     region survive and overlapping entries combine via ``accum``.
+
+    ``raw_values`` and ``raw_present`` must be fresh arrays: an unmasked
+    result without accumulation keeps them instead of copying.
     """
     size = raw_values.size
+    if mask is None and (accum is None or out is None):
+        if not raw_present.all():
+            # Absent entries hold 0.0, as in Vector.empty.
+            raw_values = np.where(raw_present, raw_values, 0.0)
+        return Vector.adopt(raw_values, raw_present)
     writable = mask.allowed(size) if mask is not None else np.ones(size, dtype=bool)
     landing = raw_present & writable
 

@@ -57,6 +57,17 @@ class Vector:
         return cls(size, np.full(size, float(fill)), np.ones(size, dtype=bool))
 
     @classmethod
+    def adopt(cls, values: np.ndarray, present: np.ndarray) -> "Vector":
+        """A vector that takes ``values`` (cast to float64 if it is not)
+        and ``present`` as its own, without the constructor's copies:
+        for fresh arrays no one else holds."""
+        out = cls.__new__(cls)
+        out.size = int(values.size)
+        out.values = values.astype(np.float64, copy=False)
+        out.present = present.astype(bool, copy=False)
+        return out
+
+    @classmethod
     def empty(cls, size: int) -> "Vector":
         """A vector with no stored entries."""
         return cls(size, np.zeros(size), np.zeros(size, dtype=bool))

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataflow.graph import DataflowGraph
+from repro.formats.coo import COOMatrix
 from repro.graphblas.matrix import Matrix
-from repro.graphblas.vector import Vector
-from repro.semiring.semirings import MUL_ADD
+from repro.semiring.kernels import SlotMajorSpMV
 from repro.workloads.base import FunctionalResult, Workload
 
 
@@ -23,8 +23,6 @@ def normalize_columns_out(matrix: Matrix) -> Matrix:
     coo = matrix.coo
     outdeg = np.bincount(coo.rows, minlength=matrix.nrows).astype(np.float64)
     vals = 1.0 / outdeg[coo.rows]
-    from repro.formats.coo import COOMatrix
-
     return Matrix(COOMatrix(coo.shape, coo.rows, coo.cols, vals))
 
 
@@ -59,17 +57,16 @@ class PageRank(Workload):
 
     def run_functional(self, matrix: Matrix, **params) -> FunctionalResult:
         n = matrix.nrows
-        link = normalize_columns_out(matrix)
+        # pr @ L, prepared once per run over L's columns: bitwise the
+        # MUL_ADD vxm of a fully-present vector.
+        spmv = SlotMajorSpMV(normalize_columns_out(matrix).csc)
         dangling_nodes = matrix.row_degrees() == 0
         pr = np.full(n, 1.0 / n)
         iterations = 0
         for _ in range(self.max_iterations):
             dangling = pr[dangling_nodes].sum()
             teleport = (1.0 - self.damping) / n + self.damping * dangling / n
-            from repro.graphblas.ops import vxm
-
-            y = vxm(Vector(n, pr), link, MUL_ADD)
-            new = self.damping * y.to_dense() + teleport
+            new = self.damping * spmv(pr) + teleport
             iterations += 1
             residual = np.abs(new - pr).sum()
             pr = new

@@ -22,32 +22,41 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataflow.graph import DataflowGraph
-from repro.errors import ConvergenceError
 from repro.formats.coo import COOMatrix
 from repro.graphblas.matrix import Matrix
-from repro.graphblas.ops import mxv
-from repro.graphblas.vector import Vector
-from repro.semiring.semirings import MUL_ADD
+from repro.semiring.kernels import SlotMajorSpMV
 from repro.workloads.base import FunctionalResult, Workload
 
 
 def spd_system(matrix: Matrix) -> Matrix:
     """``M = D - (A + A^T) / 2 + I`` — symmetric positive definite.
 
-    Built once per ``matrix`` (:meth:`Matrix.derived`): cg, bgs and
-    gmres share it."""
-    return matrix.derived(_build_spd_system)
+    A fresh build on every call; the solvers keep only its product
+    operator (:func:`spd_operator`)."""
+    return _build_spd_system(matrix)
+
+
+def spd_operator(matrix: Matrix) -> SlotMajorSpMV:
+    """The prepared ``M @ x`` of :func:`spd_system`, built once per
+    ``matrix`` (:meth:`Matrix.derived`): cg, bgs and gmres share it, and
+    the system itself is dropped once the operator is built."""
+    return matrix.derived(_build_spd_operator)
+
+
+def _build_spd_operator(matrix: Matrix) -> SlotMajorSpMV:
+    return SlotMajorSpMV(_build_spd_system(matrix).csr)
 
 
 def _build_spd_system(matrix: Matrix) -> Matrix:
-    coo = matrix.coo
+    coo, csc = matrix.coo, matrix.csc
     n = matrix.nrows
-    rows = np.concatenate((coo.rows, coo.cols))
-    cols = np.concatenate((coo.cols, coo.rows))
-    vals = np.concatenate((coo.vals, coo.vals)) * -0.5
+    # A, then A^T read row-sorted off A's CSC: two sorted runs, which
+    # canonical() merges instead of sorting.
+    rows = np.concatenate((coo.rows, csc.major_ids()))
+    cols = np.concatenate((coo.cols, csc.indices))
+    vals = np.concatenate((coo.vals, csc.data)) * -0.5
     sym = COOMatrix((n, n), rows, cols, vals).canonical()
-    degree = np.zeros(n)
-    np.add.at(degree, sym.rows, -sym.vals)
+    degree = np.bincount(sym.rows, weights=-sym.vals, minlength=n)
     diag = np.arange(n)
     full = COOMatrix(
         (n, n),
@@ -56,10 +65,6 @@ def _build_spd_system(matrix: Matrix) -> Matrix:
         np.concatenate((sym.vals, degree + 1.0)),
     )
     return Matrix(full)
-
-
-def _matvec(m: Matrix, x: np.ndarray) -> np.ndarray:
-    return mxv(m, Vector(x.size, x), MUL_ADD).to_dense()
 
 
 class ConjugateGradient(Workload):
@@ -97,8 +102,8 @@ class ConjugateGradient(Workload):
         return g
 
     def run_functional(self, matrix: Matrix, **params) -> FunctionalResult:
-        m = spd_system(matrix)
-        n = m.nrows
+        m = spd_operator(matrix)
+        n = m.n_out
         rng = np.random.default_rng(params.get("seed", 0))
         b = rng.random(n)
         x = np.zeros(n)
@@ -107,7 +112,7 @@ class ConjugateGradient(Workload):
         rr = float(r @ r)
         iterations = 0
         for _ in range(min(self.max_iterations, 10 * n)):
-            q = _matvec(m, p)
+            q = m(p)
             alpha = rr / float(p @ q)
             x += alpha * p
             r -= alpha * q
@@ -120,7 +125,7 @@ class ConjugateGradient(Workload):
         return FunctionalResult(
             output=x,
             n_iterations=iterations,
-            extras={"residual": float(np.linalg.norm(_matvec(m, x) - b)), "b": b},
+            extras={"residual": float(np.linalg.norm(m(x) - b)), "b": b},
         )
 
 
@@ -171,8 +176,8 @@ class BiCGStab(Workload):
         return g
 
     def run_functional(self, matrix: Matrix, **params) -> FunctionalResult:
-        m = spd_system(matrix)
-        n = m.nrows
+        m = spd_operator(matrix)
+        n = m.n_out
         rng = np.random.default_rng(params.get("seed", 0))
         b = rng.random(n)
         x = np.zeros(n)
@@ -189,10 +194,10 @@ class BiCGStab(Workload):
             beta = (rho_new / rho) * (alpha / omega) if iterations else 0.0
             p = r + beta * (p - omega * v) if iterations else r.copy()
             rho = rho_new
-            v = _matvec(m, p)
+            v = m(p)
             alpha = rho / float(r_hat @ v)
             s = r - alpha * v
-            t = _matvec(m, s)
+            t = m(s)
             tt = float(t @ t)
             omega = float(t @ s) / tt if tt > 0 else 0.0
             x = x + alpha * p + omega * s
@@ -203,7 +208,7 @@ class BiCGStab(Workload):
         return FunctionalResult(
             output=x,
             n_iterations=max(1, iterations),
-            extras={"residual": float(np.linalg.norm(_matvec(m, x) - b)), "b": b},
+            extras={"residual": float(np.linalg.norm(m(x) - b)), "b": b},
         )
 
 
@@ -251,14 +256,14 @@ class GMRES(Workload):
         return g
 
     def run_functional(self, matrix: Matrix, **params) -> FunctionalResult:
-        m = spd_system(matrix)
-        n = m.nrows
+        m = spd_operator(matrix)
+        n = m.n_out
         rng = np.random.default_rng(params.get("seed", 0))
         b = rng.random(n)
         x = np.zeros(n)
         iterations = 0
         for _restart in range(4):
-            r = b - _matvec(m, x)
+            r = b - m(x)
             beta = float(np.linalg.norm(r))
             if beta < self.tolerance:
                 break
@@ -270,7 +275,7 @@ class GMRES(Workload):
             h = np.zeros((k + 1, k))
             width = 0
             for j in range(k):
-                w = _matvec(m, basis[j])
+                w = m(basis[j])
                 for i in range(j + 1):
                     h[i, j] = float(w @ basis[i])
                     w -= h[i, j] * basis[i]
@@ -284,10 +289,10 @@ class GMRES(Workload):
             e1[0] = beta
             y, *_ = np.linalg.lstsq(h[: width + 1, :width], e1, rcond=None)
             x = x + basis[:width].T @ y
-            if np.linalg.norm(b - _matvec(m, x)) < self.tolerance:
+            if np.linalg.norm(b - m(x)) < self.tolerance:
                 break
         return FunctionalResult(
             output=x,
             n_iterations=max(1, iterations),
-            extras={"residual": float(np.linalg.norm(_matvec(m, x) - b)), "b": b},
+            extras={"residual": float(np.linalg.norm(m(x) - b)), "b": b},
         )

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from repro.dataflow.program import EWiseInstr, OEIProgram, Operand, OperandKind
 from repro.formats.coo import COOMatrix
+from repro.formats.csc import CSCMatrix
+from repro.formats.csr import CSRMatrix
 from repro.semiring import MONOIDS
 
 #: Finite floats bounded away from overflow — the shared numeric domain
@@ -82,6 +84,35 @@ def coo_matrices(draw, max_n: int = 48, allow_empty: bool = True):
         dense[draw(st.integers(0, n - 1)), :] = 0.0   # an empty row
         dense[:, draw(st.integers(0, n - 1))] = 0.0   # an empty column
     return COOMatrix.from_dense(dense)
+
+
+@st.composite
+def compressed_matrices(draw, max_major: int = 600, max_minor: int = 40):
+    """A random CSR or CSC matrix whose major slices (rows of a CSR,
+    columns of a CSC) mostly hold a few entries while a few hold many,
+    as in a power-law graph. Slice counts reach past 256, the size at
+    which a slot of :class:`~repro.semiring.kernels.SlotMajorSpMV` gets
+    its own add; empty slices and values of ``0.0`` and ``-0.0`` are
+    common.
+    """
+    n_major = draw(st.integers(0, max_major))
+    n_minor = draw(st.integers(1, max_minor))
+    gen = np.random.default_rng(draw(seeds))
+    degree = gen.integers(0, draw(st.integers(0, 6)) + 1, n_major)
+    heavy = gen.random(n_major) < draw(st.floats(0.0, 0.1))
+    degree[heavy] = gen.integers(0, n_minor + 1, int(heavy.sum()))
+    degree = np.minimum(degree, n_minor)
+    major = np.repeat(np.arange(n_major, dtype=np.int64), degree)
+    minor = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [np.sort(gen.permutation(n_minor)[:d]) for d in degree.tolist()]
+    )
+    vals = gen.uniform(-2.0, 2.0, major.size)
+    signed_zero = gen.random(major.size) < 0.1
+    vals[signed_zero] = np.where(gen.random(int(signed_zero.sum())) < 0.5, 0.0, -0.0)
+    if draw(st.booleans()):
+        return CSRMatrix.from_coordinates((n_major, n_minor), major, minor, vals)
+    return CSCMatrix.from_coordinates((n_minor, n_major), major, minor, vals)
 
 
 @st.composite

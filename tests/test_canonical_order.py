@@ -3,8 +3,10 @@ replaced.
 
 ``COOMatrix.deduplicate`` and ``coo_to_compressed`` share one kernel
 (:func:`repro.formats.convert.canonical_order`) that skips the sort for
-already-canonical input and otherwise radix-sorts the coordinates. The
-oracles below are the previous implementations, kept verbatim apart
+already-canonical input, merges input made of two sorted runs (one
+stable argsort of the fused key, which timsort merges in a single pass)
+and otherwise radix-sorts the coordinates. ``TestMergePath`` holds the
+merge to the radix path's permutation and results. The oracles below are the previous implementations, kept verbatim apart
 from one repair: the old ``deduplicate`` found duplicate boundaries on
 the fused key ``row * ncols + col``, which wraps around for shapes with
 ``nrows * ncols >= 2**63``; the oracle compares coordinates instead,
@@ -15,11 +17,16 @@ includes the dtype.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.formats.convert as convert
 from repro.formats.convert import canonical_order, coo_to_compressed, stable_order
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.graphblas.matrix import Matrix
+from repro.matrices.suite import load_suite_matrix
+from repro.workloads.gcn import GCN
+from repro.workloads.solvers import spd_system
 from tests.strategies import raw_coo_entries
 
 
@@ -185,3 +192,141 @@ class TestCanonicalInputIsNeverSorted:
         coo = COOMatrix((2, 2), np.array([1, 0]), np.array([0, 1]), np.ones(2))
         with pytest.raises(AssertionError, match="sorted"):
             coo.deduplicate()
+
+
+# ----------------------------------------------------------------------
+# Two sorted runs
+# ----------------------------------------------------------------------
+def _radix_canonical(n_major, n_minor, major, minor, vals):
+    """The radix path of ``canonical_order``: ``stable_order``, then
+    duplicates folded in that order from zero."""
+    order = stable_order(n_major, n_minor, major, minor)
+    major, minor, vals = major[order], minor[order], vals[order]
+    repeats = (major[1:] == major[:-1]) & (minor[1:] == minor[:-1])
+    if repeats.any():
+        boundaries = np.concatenate(([True], ~repeats))
+        group = np.cumsum(boundaries) - 1
+        summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
+        np.add.at(summed, group, vals)
+        return major[boundaries], minor[boundaries], summed
+    return major, minor, vals
+
+
+def _graph(seed: int, n: int = 300, nnz: int = 2000) -> Matrix:
+    gen = np.random.default_rng(seed)
+    return Matrix(COOMatrix((n, n), gen.integers(0, n, nnz), gen.integers(0, n, nnz),
+                            gen.uniform(-2.0, 2.0, nnz)))
+
+
+def _plus_identity(matrix):
+    """gcn's ``A + I``: A's entries, then the diagonal."""
+    n, coo, diag = matrix.nrows, matrix.coo, np.arange(matrix.nrows)
+    return (n, n, np.concatenate((coo.rows, diag)), np.concatenate((coo.cols, diag)),
+            np.concatenate((coo.vals, np.ones(n))))
+
+
+def _with_transpose(matrix):
+    """The SPD build's ``A`` then ``Aᵀ``, read row-sorted off A's CSC."""
+    n, coo, csc = matrix.nrows, matrix.coo, matrix.csc
+    return (n, n, np.concatenate((coo.rows, csc.major_ids())),
+            np.concatenate((coo.cols, csc.indices)),
+            np.concatenate((coo.vals, csc.data)) * -0.5)
+
+
+def _spd_plus_diagonal(matrix):
+    """The SPD build's symmetrized part, then its diagonal."""
+    n, _, rows, cols, vals = _with_transpose(matrix)
+    sym = COOMatrix((n, n), rows, cols, vals).canonical()
+    diag = np.arange(n)
+    return (n, n, np.concatenate((sym.rows, diag)), np.concatenate((sym.cols, diag)),
+            np.concatenate((sym.vals, diag - 3.0)))
+
+
+def _runs_with_duplicates_and_zeros():
+    """Two sorted runs that share coordinates, with explicit zeros of
+    both signs and a pair that cancels."""
+    rows = np.array([0, 0, 1, 2, 2, 3, 0, 1, 1, 2, 3, 3])
+    cols = np.array([1, 4, 2, 0, 3, 3, 1, 2, 5, 0, 3, 4])
+    vals = np.array([2.0, -0.0, 1.5, 0.0, 7.0, -0.0, -2.0, 0.0, -0.0, 3.0, 0.0, 1.0])
+    return 4, 6, rows, cols, vals
+
+
+def _runs_with_repeats_inside():
+    """Two sorted runs that each repeat keys, so one coordinate gathers
+    three or more values and a sort that is not stable changes the
+    sum's last bits."""
+    gen = np.random.default_rng(4)
+    key = np.concatenate([np.sort(gen.integers(0, 600, 3000)) for _ in range(2)])
+    return 20, 30, key // 30, key % 30, gen.uniform(-1.0, 1.0, key.size)
+
+
+TWO_RUNS = {
+    "a_plus_i": lambda: _plus_identity(_graph(0)),
+    "a_with_transpose": lambda: _with_transpose(_graph(1)),
+    "spd_plus_diagonal": lambda: _spd_plus_diagonal(_graph(2)),
+    "suite_a_with_transpose": lambda: _with_transpose(Matrix(load_suite_matrix("gy"))),
+    "cross_run_duplicates": _runs_with_duplicates_and_zeros,
+    "repeats_inside_runs": _runs_with_repeats_inside,
+}
+
+
+@pytest.fixture
+def forbid_radix(monkeypatch):
+    """Call to make any later ``stable_order`` call fail the test."""
+    def boom(*args):
+        raise AssertionError("two sorted runs took the radix sort")
+
+    return lambda: monkeypatch.setattr(convert, "stable_order", boom)
+
+
+class TestMergePath:
+    @pytest.mark.parametrize("case", sorted(TWO_RUNS))
+    def test_two_runs_match_the_radix_path(self, case):
+        n_major, n_minor, major, minor, vals = TWO_RUNS[case]()
+        key = major * n_minor + minor
+        assert np.count_nonzero(key[1:] < key[:-1]) == 1
+        assert np.array_equal(np.argsort(key, kind="stable"),
+                              stable_order(n_major, n_minor, major, minor))
+        assert_bitwise(canonical_order(n_major, n_minor, major, minor, vals),
+                       _radix_canonical(n_major, n_minor, major, minor, vals))
+
+    def test_cross_run_duplicates_fold_in_run_order(self):
+        major, minor, vals = canonical_order(*_runs_with_duplicates_and_zeros())
+        assert list(zip(major.tolist(), minor.tolist())) == [
+            (0, 1), (0, 4), (1, 2), (1, 5), (2, 0), (2, 3), (3, 3), (3, 4)]
+        # Every value folds from +0.0 once any coordinate repeats, so a
+        # lone -0.0 comes out +0.0.
+        assert vals.tobytes() == np.array(
+            [0.0, 0.0, 1.5, 0.0, 3.0, 7.0, 0.0, 1.0]).tobytes()
+
+    def test_gcn_operator_is_merged(self, forbid_radix):
+        matrix = Matrix(load_suite_matrix("gy"))
+        forbid_radix()
+        assert GCN._normalized(matrix).nnz == matrix.nnz + matrix.nrows
+
+    def test_spd_system_is_merged(self, forbid_radix):
+        matrix = Matrix(load_suite_matrix("gy"))
+        matrix.csc  # the transpose is one sort per matrix, made before
+        forbid_radix()
+        assert spd_system(matrix).nnz > matrix.nnz
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2**31 - 1))
+    def test_more_descents_take_the_radix_sort(self, runs, seed):
+        gen = np.random.default_rng(seed)
+        key = np.concatenate([np.sort(gen.integers(0, 40 * 30, gen.integers(2, 30)))
+                              for _ in range(runs)])
+        descents = int(np.count_nonzero(key[1:] < key[:-1]))
+        major, minor = key // 30, key % 30
+        vals = gen.uniform(-1.0, 1.0, key.size)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return stable_order(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convert, "stable_order", counting)
+            result = canonical_order(40, 30, major, minor, vals)
+        assert len(calls) == (descents >= 2)
+        assert_bitwise(result, _radix_canonical(40, 30, major, minor, vals))

@@ -13,8 +13,14 @@ The batched MIN/MAX kernels are checked against the reference
 :class:`~repro.semiring.monoids.Monoid` methods on inputs dominated by
 signed zeros, where numpy's SIMD ``reduceat`` and the scalar fold of
 ``ufunc.at`` resolve a ``0.0``/``-0.0`` tie differently.
+
+:class:`~repro.semiring.kernels.SlotMajorSpMV`, the prepared SpMV of the
+Krylov solvers and PageRank, is checked against ``mxv``/``vxm`` on the
+suite and against the ``np.add.at`` fold of the same products on edge
+shapes, edge values and random CSR/CSC matrices.
 """
 
+import warnings
 from collections import deque
 
 import numpy as np
@@ -22,13 +28,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FormatError, ShapeError
 from repro.formats.convert import stable_order
 from repro.formats.coo import COOMatrix
-from repro.graphblas import Matrix, mxm_dense
+from repro.formats.csc import CSCMatrix
+from repro.formats.csr import CSRMatrix
+from repro.graphblas import Matrix, Vector, mxm_dense, mxv, vxm
 from repro.matrices.suite import load_suite_matrix, suite_names
 from repro.preprocess.vanilla_reorder import _symmetrized_csr, vanilla_reorder
-from repro.semiring import MONOIDS, SEMIRINGS, kernels
+from repro.semiring import MONOIDS, MUL_ADD, SEMIRINGS, kernels
+from repro.semiring.kernels import SlotMajorSpMV
 from repro.workloads.gcn import GCN
+from repro.workloads.pagerank import normalize_columns_out
+from repro.workloads.solvers import spd_system
+from tests.strategies import compressed_matrices
 
 #: Values where the fold order shows: signed zeros and infinities.
 EDGE_VALUES = (0.0, -0.0, np.inf, -np.inf, 1.5, -2.0, 0.25)
@@ -325,3 +338,218 @@ class TestSignedZeroTies:
         monoid.scatter(expected, indices, values)
         kernels.scatter(monoid, actual, indices, values)
         assert_bitwise(actual, expected)
+
+
+# ----------------------------------------------------------------------
+# Slot-major SpMV
+# ----------------------------------------------------------------------
+#: NaNs with distinct payloads and signs (the last one signaling), for
+#: the test where NaNs of different payloads meet.
+PAYLOAD_NANS = tuple(
+    np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000003],
+             dtype=np.uint64).view(np.float64)
+)
+SPMV_EDGE_VALUES = EDGE_VALUES + (np.nan,) + PAYLOAD_NANS
+
+
+def _contract_spmv(compressed, x):
+    """The MUL_ADD contraction of ``mxv`` (CSR) or ``vxm`` (CSC) on a
+    fully-present vector: every product, in storage order and in the
+    contraction's operand order, folded by ``np.add.at`` into +0.0."""
+    gathered = x[compressed.indices]
+    if compressed._row_major:
+        products = compressed.data * gathered
+    else:
+        products = gathered * compressed.data
+    out = np.zeros(compressed.n_major)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.add.at(out, compressed.major_ids(), products)
+    return out
+
+
+def _compressed(row_major, n_major, n_minor, major, minor, vals):
+    cls = CSRMatrix if row_major else CSCMatrix
+    shape = (n_major, n_minor) if row_major else (n_minor, n_major)
+    return cls.from_coordinates(
+        shape,
+        np.asarray(major, dtype=np.int64),
+        np.asarray(minor, dtype=np.int64),
+        np.asarray(vals, dtype=np.float64),
+    )
+
+
+def _uniform_degree(row_major, n_major, n_minor, degree, gen):
+    """Every major slice holds ``degree`` entries, columns 0..degree-1."""
+    major = np.repeat(np.arange(n_major), degree)
+    minor = np.tile(np.arange(degree), n_major)
+    return _compressed(row_major, n_major, n_minor, major, minor,
+                       gen.uniform(-2.0, 2.0, major.size))
+
+
+def _assert_spmv(compressed, x):
+    assert_bitwise(SlotMajorSpMV(compressed)(x), _contract_spmv(compressed, x))
+
+
+ORIENTATIONS = pytest.mark.parametrize("row_major", (True, False), ids=("csr", "csc"))
+
+
+class TestSlotMajorSpMV:
+    @pytest.mark.parametrize("name", suite_names())
+    def test_spd_systems_match_mxv(self, name):
+        system = spd_system(Matrix(load_suite_matrix(name)))
+        x = np.random.default_rng(0).standard_normal(system.ncols)
+        expected = mxv(system, Vector(x.size, x), MUL_ADD).to_dense()
+        assert_bitwise(SlotMajorSpMV(system.csr)(x), expected)
+
+    @pytest.mark.parametrize("name", suite_names())
+    def test_pagerank_links_match_vxm(self, name):
+        link = normalize_columns_out(Matrix(load_suite_matrix(name)))
+        x = np.random.default_rng(1).random(link.nrows)
+        expected = vxm(Vector(x.size, x), link, MUL_ADD).to_dense()
+        assert_bitwise(SlotMajorSpMV(link.csc)(x), expected)
+
+    @ORIENTATIONS
+    @pytest.mark.parametrize("n_major, n_minor", ((0, 0), (0, 5), (5, 0), (1, 4)))
+    def test_degenerate_shapes(self, row_major, n_major, n_minor):
+        gen = np.random.default_rng(2)
+        degree = 3 if n_major and n_minor else 0
+        compressed = _uniform_degree(row_major, n_major, n_minor, degree, gen)
+        _assert_spmv(compressed, gen.random(n_minor))
+
+    @ORIENTATIONS
+    def test_all_rows_empty(self, row_major):
+        compressed = _compressed(row_major, 300, 6, [], [], [])
+        out = SlotMajorSpMV(compressed)(np.full(6, np.nan))
+        assert_bitwise(out, np.zeros(300))
+
+    @ORIENTATIONS
+    def test_one_row_holds_every_entry(self, row_major):
+        gen = np.random.default_rng(3)
+        compressed = _compressed(row_major, 300, 40, np.full(40, 123), np.arange(40),
+                                 gen.uniform(-2.0, 2.0, 40))
+        op = SlotMajorSpMV(compressed)
+        assert op._n_heavy == 1 and not op._slots
+        _assert_spmv(compressed, gen.standard_normal(40))
+
+    @ORIENTATIONS
+    def test_all_rows_heavy(self, row_major):
+        """Fewer than 256 rows: no slot pays for its add."""
+        gen = np.random.default_rng(4)
+        compressed = _uniform_degree(row_major, 255, 10, 3, gen)
+        op = SlotMajorSpMV(compressed)
+        assert op._n_heavy == 255 and not op._slots
+        _assert_spmv(compressed, gen.standard_normal(10))
+
+    @ORIENTATIONS
+    def test_all_rows_light(self, row_major):
+        gen = np.random.default_rng(5)
+        compressed = _uniform_degree(row_major, 256, 10, 3, gen)
+        op = SlotMajorSpMV(compressed)
+        assert op._n_heavy == 0 and len(op._slots) == 3
+        _assert_spmv(compressed, gen.standard_normal(10))
+
+    @ORIENTATIONS
+    def test_heavy_and_light_rows_mixed(self, row_major):
+        gen = np.random.default_rng(6)
+        degree = np.concatenate((np.full(400, 2), np.full(300, 1), [9, 30, 30]))
+        gen.shuffle(degree)
+        major = np.repeat(np.arange(degree.size), degree)
+        minor = np.concatenate([np.arange(d) * 2 for d in degree])
+        compressed = _compressed(row_major, degree.size, 60, major, minor,
+                                 gen.uniform(-2.0, 2.0, major.size))
+        op = SlotMajorSpMV(compressed)
+        assert op._n_heavy == 3 and len(op._slots) == 2
+        _assert_spmv(compressed, gen.standard_normal(60))
+
+    @ORIENTATIONS
+    @pytest.mark.parametrize("fill", (0.0, -0.0, np.inf, -np.inf, np.nan))
+    def test_vectors_of_one_edge_value(self, row_major, fill):
+        gen = np.random.default_rng(11)
+        degree = np.concatenate((np.full(300, 3), [12, 0, 7]))
+        major = np.repeat(np.arange(degree.size), degree)
+        minor = np.concatenate([np.sort(gen.permutation(16)[:d]) for d in degree])
+        pool = np.array((0.0, -0.0, 1.5, -2.0, 0.25))
+        compressed = _compressed(row_major, degree.size, 16, major, minor,
+                                 pool[gen.integers(0, pool.size, major.size)])
+        with np.errstate(invalid="ignore"):
+            _assert_spmv(compressed, np.full(16, fill))
+
+    @ORIENTATIONS
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_edge_values_up_to_nan_payload(self, row_major, seed):
+        """Edge values in the matrix and the vector at once. Where two
+        NaNs of different payloads meet, numpy's own SIMD and scalar
+        loops keep different ones, so only that choice is left open:
+        NaN positions and every other bit must match."""
+        gen = np.random.default_rng(seed)
+        pool = np.array(SPMV_EDGE_VALUES)
+        degree = np.concatenate((np.full(300, 3), [12, 0, 7]))
+        major = np.repeat(np.arange(degree.size), degree)
+        minor = np.concatenate([np.sort(gen.permutation(16)[:d]) for d in degree])
+        compressed = _compressed(row_major, degree.size, 16, major, minor,
+                                 pool[gen.integers(0, pool.size, major.size)])
+        with np.errstate(invalid="ignore"):
+            x = pool[gen.integers(0, pool.size, 16)]
+            actual = SlotMajorSpMV(compressed)(x)
+            expected = _contract_spmv(compressed, x)
+        nan = np.isnan(expected)
+        assert nan.any() and not nan.all()
+        assert np.array_equal(np.isnan(actual), nan)
+        assert_bitwise(actual[~nan], expected[~nan])
+
+    @ORIENTATIONS
+    def test_no_warning_when_the_fold_meets_inf_minus_inf(self, row_major):
+        gen = np.random.default_rng(7)
+        compressed = _uniform_degree(row_major, 512, 2, 2, gen)
+        compressed.data[:] = 1.0
+        op = SlotMajorSpMV(compressed)
+        assert op._slots and op._n_heavy == 0
+        for x in (np.array([np.inf, -np.inf]), np.array([1e308, 1e308])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = op(x)
+            assert_bitwise(out, _contract_spmv(compressed, x))
+
+    @ORIENTATIONS
+    def test_wrong_length_raises(self, row_major):
+        op = SlotMajorSpMV(_uniform_degree(row_major, 300, 8, 2, np.random.default_rng(8)))
+        for bad in (np.zeros(7), np.zeros(9), np.zeros((8, 1)), np.float64(1.0)):
+            with pytest.raises(ShapeError):
+                op(bad)
+
+    @ORIENTATIONS
+    @pytest.mark.parametrize("bad_index", (-1, 8))
+    def test_out_of_range_index_rejected_at_build(self, row_major, bad_index):
+        """The gather does not bounds-check per index, so an index that
+        went out of range after the matrix was built must stop the
+        build."""
+        compressed = _uniform_degree(row_major, 300, 8, 2, np.random.default_rng(9))
+        compressed.indices[5] = bad_index
+        with pytest.raises(FormatError):
+            SlotMajorSpMV(compressed)
+
+    def test_x_is_read_not_written(self):
+        compressed = _uniform_degree(True, 300, 8, 2, np.random.default_rng(10))
+        x = np.arange(8.0)
+        SlotMajorSpMV(compressed)(x)
+        assert_bitwise(x, np.arange(8.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(compressed_matrices(), st.integers(0, 2**31 - 1))
+    def test_matches_contraction(self, compressed, seed):
+        x = np.random.default_rng(seed).uniform(-2.0, 2.0, compressed.n_minor)
+        _assert_spmv(compressed, x)
+
+    @pytest.mark.slow
+    @settings(max_examples=600, deadline=None)
+    @given(compressed_matrices(max_major=1500, max_minor=300), st.integers(0, 2**31 - 1))
+    def test_matches_contraction_deep(self, compressed, seed):
+        """With infinities in ``x``: the only NaNs are those that
+        ``inf - inf`` and ``0 * inf`` make, which all carry one payload."""
+        gen = np.random.default_rng(seed)
+        pool = np.array(EDGE_VALUES)
+        x = np.where(gen.random(compressed.n_minor) < 0.2,
+                     pool[gen.integers(0, pool.size, compressed.n_minor)],
+                     gen.uniform(-2.0, 2.0, compressed.n_minor))
+        with np.errstate(invalid="ignore"):
+            _assert_spmv(compressed, x)

@@ -1,10 +1,12 @@
 """Host-side reuse: cached compressed ids, the fully-present contraction
-path, and the derived-operand memos.
+path, the unmasked ``_finalize`` fast path, and the derived-operand
+memos.
 
 Each reuse must be invisible in the results: the fully-present
 ``mxv``/``vxm`` path is compared bitwise with the compacting path it
 skips (kept here as the oracle) and with ``kernel="reference"``; the
-SPD-system memo and the shared reorder of the preprocessing variants
+unmasked ``_finalize`` with the general path it skips; the SPD-operator
+memo and the shared reorder of the preprocessing variants
 are counted and their outputs compared with fresh builds, and the
 memoized config key and manifest serialization must equal fresh ones.
 """
@@ -27,6 +29,7 @@ from repro.matrices.suite import load_suite_matrix
 from repro.obs import MetricsRegistry, RunManifest, build_manifest
 from repro.preprocess import pipeline
 from repro.semiring import SEMIRINGS
+from repro.semiring.kernels import SlotMajorSpMV
 from repro.workloads import solvers
 from repro.workloads.registry import get_workload
 
@@ -127,6 +130,45 @@ class TestFullyPresentContraction:
                            _compacting_mxv(holey_matrix, v, semiring))
 
 
+def _general_finalize(raw_values, raw_present):
+    """``_finalize`` without a mask and without accumulation into
+    ``out``, as it was before its fast path: an all-true mask, an empty
+    vector and two boolean scatters."""
+    size = raw_values.size
+    landing = raw_present & np.ones(size, dtype=bool)
+    result = Vector.empty(size)
+    result.values[landing] = raw_values[landing]
+    result.present[landing] = True
+    return result
+
+
+class TestFinalizeFastPath:
+    """An unmasked, non-accumulating result keeps the raw arrays."""
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32, np.int64, bool))
+    @pytest.mark.parametrize("presence", ("all", "none", "some"))
+    @pytest.mark.parametrize("accum, with_out", ((None, False), (None, True),
+                                                 (SEMIRINGS["mul_add"].add.op, False)))
+    def test_matches_the_general_path(self, rng, dtype, presence, accum, with_out):
+        size = 40
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+        with np.errstate(invalid="ignore"):
+            raw_values = pool[rng.integers(0, pool.size, size)].astype(dtype)
+        raw_present = {"all": np.ones(size, dtype=bool),
+                       "none": np.zeros(size, dtype=bool),
+                       "some": rng.random(size) < 0.5}[presence]
+        out = Vector(size, np.full(size, 9.0)) if with_out else None
+        expected = _general_finalize(raw_values, raw_present)
+        actual = _finalize(raw_values.copy(), raw_present.copy(), None, accum, out)
+        assert_same_vector(actual, expected)
+        assert actual.size == size
+
+    def test_keeps_fresh_arrays_without_copying(self):
+        raw_values, raw_present = np.arange(5.0), np.ones(5, dtype=bool)
+        result = _finalize(raw_values, raw_present, None, None, None)
+        assert result.values is raw_values and result.present is raw_present
+
+
 def _fresh(matrix_name: str) -> COOMatrix:
     """An equal copy of a suite matrix, shared with no context."""
     coo = load_suite_matrix(matrix_name)
@@ -192,13 +234,38 @@ class TestDerivedOperandMemos:
         assert plain.blocked is None and plain.block_size is None
         assert blocked.with_block_size(64).blocked.block_size == 64
 
-    def test_spd_system_shared_across_solvers(self):
+    def test_spd_system_shared_across_solvers(self, monkeypatch, rng):
+        """cg, bgs and gmres share one SPD operator per matrix, built
+        from one SPD system that is not kept; its product is bitwise
+        the ``mxv`` of a freshly built system."""
+        builds, handed_out = [], []
+        build_spd, spd_operator = solvers._build_spd_system, solvers.spd_operator
+
+        def counting_spd(matrix):
+            builds.append(matrix)
+            return build_spd(matrix)
+
+        def recording_operator(matrix):
+            handed_out.append(spd_operator(matrix))
+            return handed_out[-1]
+
+        monkeypatch.setattr(solvers, "_build_spd_system", counting_spd)
+        monkeypatch.setattr(solvers, "spd_operator", recording_operator)
         matrix = Matrix(_fresh("gy"))
-        assert solvers.spd_system(matrix) is solvers.spd_system(matrix)
-        fresh = solvers._build_spd_system(Matrix(_fresh("gy")))
-        shared = solvers.spd_system(matrix)
-        assert shared.coo.vals.tobytes() == fresh.coo.vals.tobytes()
-        assert np.array_equal(shared.coo.rows, fresh.coo.rows)
+        for name in SOLVERS:
+            get_workload(name).run_functional(matrix)
+
+        assert len(builds) == 1
+        assert len(handed_out) == len(SOLVERS)
+        operator = handed_out[0]
+        assert isinstance(operator, SlotMajorSpMV)
+        assert all(other is operator for other in handed_out)
+        assert list(matrix._derived.values()) == [operator]
+
+        fresh = build_spd(Matrix(_fresh("gy")))
+        x = rng.standard_normal(fresh.ncols)
+        expected = mxv(fresh, Vector(x.size, x), SEMIRINGS["mul_add"]).to_dense()
+        assert operator(x).tobytes() == expected.tobytes()
 
 
 class TestConfigKeyMemo:

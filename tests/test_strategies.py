@@ -10,6 +10,7 @@ from tests.strategies import (
     SAFE_BINARY,
     SAFE_SEMIRINGS,
     booleans,
+    compressed_matrices,
     dims,
     finite,
     finite_lists,
@@ -112,3 +113,12 @@ def test_raw_coo_entries_are_in_range(entries):
     if rows.size:
         assert 0 <= rows.min() and rows.max() < nrows
         assert 0 <= cols.min() and cols.max() < ncols
+
+
+@settings(max_examples=30, deadline=None)
+@given(compressed_matrices())
+def test_compressed_matrices_are_valid(matrix):
+    matrix._validate()
+    assert matrix.n_major <= 600 and 1 <= matrix.n_minor <= 40
+    assert np.all(matrix.major_nnz() <= matrix.n_minor)
+    assert matrix.data.dtype == np.float64
