@@ -9,14 +9,14 @@ of the individual models and drivers:
 - :mod:`repro.engine.instrumentation` — the observer protocol for
   simulator events (step / transfer / evict / repack / prefetch) with
   a zero-observer fast path,
-- :mod:`repro.engine.cache` — the persistent on-disk result cache
-  keyed by content (config hash + code version).
+- :mod:`repro.engine.cache` — the persistent on-disk result store
+  keyed by content (config hash) under a digest of the source.
 
 Sweep fan-out is not an engine concern: it goes through
 :func:`repro.resilience.supervisor.supervised_map`.
 """
 
-from repro.engine.cache import CODE_VERSION, CacheEntry, ResultCache
+from repro.engine.cache import CacheEntry, ResultCache, code_digest
 from repro.engine.instrumentation import (
     FILL_STEP,
     CounterObserver,
@@ -37,7 +37,6 @@ from repro.engine.registry import (
 
 __all__ = [
     "ArchSpec",
-    "CODE_VERSION",
     "CacheEntry",
     "CounterObserver",
     "DiagnosticsObserver",
@@ -49,6 +48,7 @@ __all__ = [
     "ResultCache",
     "StepTraceObserver",
     "arch_names",
+    "code_digest",
     "create_engine",
     "get_arch",
     "register_arch",

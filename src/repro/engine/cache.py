@@ -1,57 +1,50 @@
-"""Persistent on-disk result cache: sharded, bounded, concurrency-safe.
+"""Persistent on-disk result store: one flat directory per code generation.
 
-Repeated figure/benchmark runs re-simulate the identical 495-point
-cross product; this cache makes warm reruns near-free. One JSON file
-per simulated point, content-addressed by
+Repeated figure/benchmark runs re-simulate the identical 675-point
+grid; this store makes warm reruns near-free. One JSON file per
+simulated point, laid out as
 
-``(code_version, arch, workload, matrix, config_key, reorder, block_size)``
+``DIR/<code digest>/<arch>-<workload>-<matrix>-<key digest>.json``
 
-where ``config_key`` is :meth:`SparsepipeConfig.cache_key` (a frozen
-content hash, never ``id()``) and ``code_version`` is this module's
-:data:`CODE_VERSION` — bump it whenever simulator semantics change and
-every stale entry misses.
+where the key digest hashes ``(code digest, arch, workload, matrix,
+config_key, reorder, block_size)``. ``config_key`` is
+:meth:`SparsepipeConfig.cache_key` (a frozen content hash, never
+``id()``); the **code digest** (:func:`code_digest`) is a SHA-256 over
+the source of every module that can change a simulated number. Any
+edit to a generator, a kernel, a workload or a simulator therefore
+opens a fresh directory and every older entry becomes a miss: the
+store cannot serve a result the current code would not produce.
+Modules that only consume results (:data:`RESULT_CONSUMERS`: the
+experiment drivers, observability, scheduling, resilience, the CLI)
+are left out, so editing them keeps the store warm.
 
-Pool workers and separate ``--cache DIR`` runs share one store, so it
-is built for concurrent access:
+Matrix content is deliberately not hashed: the suite generators are
+source and the code digest already covers them, while hashing
+content would force a warm run to regenerate every matrix just to
+find its key.
 
-- **Sharding** — entries live under ``shard-NN/`` directories chosen
-  by the key digest's prefix (:data:`DEFAULT_SHARDS` shards by
-  default), each protected by its own in-process lock, so concurrent
-  readers/writers on different shards never contend. Cross-process
-  writers are safe regardless: every write goes through a per-process,
-  per-write temp file (pid plus a process-wide counter) and an atomic
-  rename, so a concurrent reader can never observe a torn entry.
-- **Byte budget with LRU eviction** — ``max_bytes`` bounds the live
-  entry bytes across all shards. Recency is stamped into each entry's
-  mtime from a store-wide logical clock (monotone integers seeded
-  above everything already on disk — never the wall clock: the engine
-  package is a deterministic hot path), so least-recently-*used* order
-  survives process restarts and is shared between processes. When a
-  put pushes the store over budget, entries are unlinked oldest-first
-  until the invariant ``live bytes <= max_bytes`` holds again.
-- **Metrics** — pass a :class:`~repro.obs.metrics.MetricsRegistry` and
-  the store reports ``cache.hits`` / ``cache.misses`` counters,
-  ``cache.evicted`` / ``cache.evicted_bytes`` eviction counters, and a
-  ``cache.bytes`` gauge (live bytes after the last budget sweep); see
-  docs/observability.md.
+Pool workers and separate ``--cache DIR`` runs may share one store.
+Every write goes through a per-process, per-write temp file (pid plus
+a process-wide counter) and an atomic rename, so a concurrent reader
+never observes a torn entry and no lock is needed.
 
 Each entry stores its full key alongside the serialized
 :class:`~repro.arch.stats.SimResult`, so hash collisions and
 hand-edited files degrade to a miss, never a wrong result — and the
-offending file is **quarantined** per shard (moved under the shard's
-``quarantine/`` with an ``SP604`` diagnostic in
+offending file is **quarantined** (moved under ``quarantine/`` beside
+the entries, with an ``SP604`` diagnostic in
 :attr:`ResultCache.diagnostics`), so a corrupt entry can never be
 silently re-missed forever: the next ``put`` re-populates the slot.
 Entries may also carry a :class:`~repro.obs.manifest.RunManifest`
-recording the producing run's provenance;
-:meth:`ResultCache.get_entry` returns it marked ``from_cache=True`` so
-served and fresh results stay distinguishable.
-:meth:`ResultCache.clear` also sweeps the ``*.tmp`` debris a crashed
-writer may have left behind.
+recording the producing run's provenance; :meth:`ResultCache.get_entry`
+returns it marked ``from_cache=True`` so served and fresh results stay
+distinguishable. Pass a :class:`~repro.obs.metrics.MetricsRegistry` and
+the store counts ``cache.hits`` / ``cache.misses``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -59,24 +52,47 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.arch.stats import SimResult
-from repro.errors import ConfigError, Diagnostic
+from repro.errors import Diagnostic
 from repro.obs.manifest import RunManifest
 from repro.resilience.faults import maybe_corrupt_file
 
 #: Distinguishes temp files of concurrent threads in one process.
 _TMP_COUNTER = itertools.count()
 
-#: Bump whenever a change to the simulators alters results — every
-#: cache entry written under another version becomes a miss.
-CODE_VERSION = "1"
+#: The ``repro`` package directory the code digest hashes.
+PACKAGE_DIR = Path(__file__).resolve().parent.parent
 
-#: Default shard count: 16 shards keep per-shard lock contention
-#: negligible for concurrent writers while staying a trivial number of
-#: directories to scan.
-DEFAULT_SHARDS = 16
+#: Package-relative paths (directories end in ``/``) of modules that
+#: only consume results; editing them never changes a simulated number.
+#: ``analysis/`` is not among them: the dataflow compiler calls
+#: ``analysis.absint``.
+RESULT_CONSUMERS = (
+    "experiments/", "obs/", "scheduler/", "resilience/",
+    "__main__.py", "testing.py",
+)
+
+
+def source_digest(package: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of every
+    ``.py`` under ``package``, minus :data:`RESULT_CONSUMERS`."""
+    sha = hashlib.sha256()
+    for rel in sorted(p.relative_to(package).as_posix()
+                      for p in package.rglob("*.py")):
+        if rel.startswith(RESULT_CONSUMERS):
+            continue
+        sha.update(rel.encode("utf-8") + b"\0")
+        sha.update((package / rel).read_bytes() + b"\0")
+    return sha.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Digest of the installed result-producing source (computed once
+    per process; names the store's generation directory)."""
+    return source_digest(PACKAGE_DIR)
 
 
 @dataclass(frozen=True)
@@ -88,113 +104,41 @@ class CacheEntry:
 
 
 class ResultCache:
-    """Sharded directory of per-point SimResult JSON documents."""
+    """Flat directory of per-point SimResult JSON documents."""
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        code_version: Optional[str] = None,
-        shards: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], metrics=None) -> None:
         self.root = Path(root)
-        self.n_shards = DEFAULT_SHARDS if shards is None else int(shards)
-        if self.n_shards < 1:
-            raise ConfigError(
-                f"ResultCache needs at least one shard, got {shards!r}")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ConfigError(
-                f"ResultCache max_bytes must be positive, got {max_bytes!r}")
-        self.max_bytes = max_bytes
-        #: Optional MetricsRegistry the store reports through
-        #: (``cache.hits`` / ``cache.misses`` / ``cache.evicted`` /
-        #: ``cache.evicted_bytes`` / ``cache.bytes``).
+        #: The generation directory; resolved at construction so tests
+        #: can monkeypatch :func:`code_digest`.
+        self.code_digest = code_digest()
+        self.dir = self.root / self.code_digest
+        self.quarantine_dir = self.dir / "quarantine"
+        #: Optional MetricsRegistry (``cache.hits`` / ``cache.misses``).
         self.metrics = metrics
-        self.root.mkdir(parents=True, exist_ok=True)
-        for index in range(self.n_shards):
-            self.shard_dir(index).mkdir(parents=True, exist_ok=True)
-        # Resolved at construction so tests can monkeypatch CODE_VERSION.
-        self.code_version = str(
-            CODE_VERSION if code_version is None else code_version
-        )
+        self.dir.mkdir(parents=True, exist_ok=True)
         #: SP604 quarantine diagnostics since the last
         #: :meth:`pop_diagnostics` (consumers: ExperimentContext
         #: metrics / run manifests).
         self.diagnostics: List[Diagnostic] = []
         self._diag_lock = threading.Lock()
-        #: One lock per shard: in-process readers/writers of different
-        #: shards never contend; same-shard operations serialize.
-        self._shard_locks = tuple(
-            threading.RLock() for _ in range(self.n_shards)
-        )
-        #: Serializes budget sweeps (which may touch every shard).
-        #: Lock order is always evict-lock -> shard-lock; entry
-        #: operations take only their shard lock, so no cycle exists.
-        self._evict_lock = threading.Lock()
-        #: Store-wide logical recency clock. Seeded above every mtime
-        #: already on disk so a restarted process keeps appending to
-        #: the same total order; per-process monotone thereafter.
-        self._recency = itertools.count(self._initial_stamp())
 
-    # ------------------------------------------------------------------
-    # Layout
-    # ------------------------------------------------------------------
-    def shard_dir(self, index: int) -> Path:
-        return self.root / f"shard-{index:02d}"
-
-    def shard_dirs(self) -> List[Path]:
-        return [self.shard_dir(i) for i in range(self.n_shards)]
-
-    def quarantine_dirs(self) -> List[Path]:
-        """Per-shard quarantine directories (existing ones only)."""
-        dirs = [d / "quarantine" for d in self.shard_dirs()]
-        return [d for d in dirs if d.is_dir()]
-
-    def quarantine_paths(self) -> List[Path]:
-        """Every quarantined entry file, across all shards."""
-        return sorted(
-            path for d in self.quarantine_dirs() for path in d.glob("*.json")
-        )
-
-    def _entries(self) -> Iterator[Path]:
-        """Live entry files (excludes quarantine and tmp debris)."""
-        for shard in self.shard_dirs():
-            yield from shard.glob("*.json")
-
-    def _initial_stamp(self) -> int:
-        """First logical recency stamp: one past everything on disk."""
-        newest = 0
-        for path in self.root.rglob("*.json"):
-            try:
-                newest = max(newest, path.stat().st_mtime_ns)
-            except OSError:
-                continue
-        return newest + 1
-
-    def _touch(self, path: Path) -> None:
-        """Stamp ``path`` as most-recently-used (logical clock, not
-        wall clock — eviction order is deterministic and replayable)."""
-        stamp = next(self._recency)
-        try:
-            os.utime(path, ns=(stamp, stamp))
-        except OSError:
-            pass  # racing eviction/quarantine; recency is best-effort
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
+    def _count(self, name: str) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+            self.metrics.counter(name).inc()
 
     # ------------------------------------------------------------------
     # Quarantine
     # ------------------------------------------------------------------
+    def quarantine_paths(self) -> List[Path]:
+        """Every quarantined entry file of this generation."""
+        return sorted(self.quarantine_dir.glob("*.json"))
+
     def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry out of its shard so it misses exactly
-        once, and record why. Called with the shard lock held."""
-        dest_dir = path.parent / "quarantine"
-        dest = dest_dir / path.name
+        """Move a corrupt entry aside so it misses exactly once, and
+        record why."""
+        dest = self.quarantine_dir / path.name
         try:
-            dest_dir.mkdir(parents=True, exist_ok=True)
+            self.quarantine_dir.mkdir(exist_ok=True)
             path.replace(dest)
         except OSError:
             return  # racing reader already moved it; either outcome is a miss
@@ -212,60 +156,31 @@ class ResultCache:
         return out
 
     # ------------------------------------------------------------------
-    # Keying
-    # ------------------------------------------------------------------
-    def _entry(self, arch, workload, matrix, config_key, reorder, block_size):
-        key = json.dumps(
-            [
-                self.code_version,
-                str(arch),
-                str(workload),
-                str(matrix),
-                str(config_key),
-                str(reorder),
-                str(block_size),
-            ]
-        )
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
-        shard = int(digest[:8], 16) % self.n_shards
-        path = self.shard_dir(shard) / (
-            f"{arch}-{workload}-{matrix}-{digest}.json"
-        )
-        return path, key, self._shard_locks[shard]
-
-    # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def get(
-        self, arch, workload, matrix, config_key, reorder, block_size
-    ) -> Optional[SimResult]:
-        """Cached result for one point, or None on any kind of miss."""
-        entry = self.get_entry(
-            arch, workload, matrix, config_key, reorder, block_size
-        )
-        return None if entry is None else entry.result
+    def _entry(self, arch, workload, matrix, config_key, reorder, block_size):
+        key = json.dumps([
+            self.code_digest, str(arch), str(workload), str(matrix),
+            str(config_key), str(reorder), str(block_size),
+        ])
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
+        return self.dir / f"{arch}-{workload}-{matrix}-{digest}.json", key
 
     def get_entry(
         self, arch, workload, matrix, config_key, reorder, block_size
-    ) -> Optional["CacheEntry"]:
-        """Cached result *with provenance*: the stored run manifest is
-        returned marked ``from_cache=True`` (``None`` for entries
-        written before manifests existed, or by manifest-less callers).
-        """
-        path, key, lock = self._entry(
+    ) -> Optional[CacheEntry]:
+        """Cached result *with provenance* (``None`` on any kind of
+        miss): the stored run manifest is returned marked
+        ``from_cache=True`` (``None`` for manifest-less entries)."""
+        path, key = self._entry(
             arch, workload, matrix, config_key, reorder, block_size
         )
-        with lock:
-            entry = self._read_entry(path, key)
-        if entry is None:
-            self._count("cache.misses")
-        else:
-            self._count("cache.hits")
+        entry = self._read_entry(path, key)
+        self._count("cache.misses" if entry is None else "cache.hits")
         return entry
 
-    def _read_entry(self, path: Path, key: str) -> Optional["CacheEntry"]:
-        """One locked probe: read, validate, quarantine on corruption,
-        stamp recency on a hit."""
+    def _read_entry(self, path: Path, key: str) -> Optional[CacheEntry]:
+        """One probe: read, validate, quarantine on corruption."""
         maybe_corrupt_file("cache.get", path.name, path)
         try:
             text = path.read_text()
@@ -295,19 +210,14 @@ class ResultCache:
                 ).served_from_cache()
             except (KeyError, TypeError, ValueError):
                 manifest = None  # auditing data is best-effort
-        self._touch(path)
         return CacheEntry(result=result, manifest=manifest)
 
     def put(
         self, arch, workload, matrix, config_key, reorder, block_size,
         result: SimResult, manifest: Optional[RunManifest] = None,
     ) -> Path:
-        """Store one result; atomic against concurrent readers/writers.
-
-        When a byte budget is configured, the put is followed by an
-        LRU sweep restoring ``live bytes <= max_bytes``.
-        """
-        path, key, lock = self._entry(
+        """Store one result; atomic against concurrent readers/writers."""
+        path, key = self._entry(
             arch, workload, matrix, config_key, reorder, block_size
         )
         doc = {
@@ -315,97 +225,34 @@ class ResultCache:
             "result": result.to_dict(),
             "manifest": None if manifest is None else manifest.to_dict(),
         }
-        text = json.dumps(doc, sort_keys=True)
-        with lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
-            )
-            tmp.write_text(text)
-            tmp.replace(path)
-            self._touch(path)
-        self._enforce_budget()
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
+        )
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        tmp.replace(path)
         return path
-
-    # ------------------------------------------------------------------
-    # Budget / eviction
-    # ------------------------------------------------------------------
-    def live_bytes(self) -> int:
-        """Total bytes of live entries (authoritative: from disk, so
-        it also sees entries written by other processes)."""
-        total = 0
-        for path in self._entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def _enforce_budget(self) -> None:
-        """Evict least-recently-used entries until the live bytes fit
-        the budget again. Scans the disk (not in-memory bookkeeping)
-        so concurrent writer *processes* cannot overshoot the budget
-        between each other's sweeps."""
-        if self.max_bytes is None:
-            return
-        with self._evict_lock:
-            entries: List[Tuple[int, str, int, Path, int]] = []
-            total = 0
-            for index in range(self.n_shards):
-                with self._shard_locks[index]:
-                    for path in self.shard_dir(index).glob("*.json"):
-                        try:
-                            st = path.stat()
-                        except OSError:
-                            continue
-                        entries.append(
-                            (st.st_mtime_ns, path.name, index, path,
-                             st.st_size)
-                        )
-                        total += st.st_size
-            evicted = 0
-            evicted_bytes = 0
-            if total > self.max_bytes:
-                entries.sort(key=lambda e: (e[0], e[1]))
-                for _stamp, _name, index, path, size in entries:
-                    if total <= self.max_bytes:
-                        break
-                    with self._shard_locks[index]:
-                        try:
-                            path.unlink()
-                        except OSError:
-                            continue  # racing eviction already took it
-                    total -= size
-                    evicted += 1
-                    evicted_bytes += size
-            if evicted:
-                self._count("cache.evicted", evicted)
-                self._count("cache.evicted_bytes", evicted_bytes)
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    "cache.bytes", "live result-store bytes"
-                ).set(total)
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
+        return sum(1 for _ in self.dir.glob("*.json"))
 
     def clear(self) -> int:
-        """Delete every live entry (plus any ``*.tmp`` debris crashed
-        writers left behind, in any shard); returns the number of
-        entries removed. Quarantined corpses are kept for auditing."""
+        """Delete every entry of every generation (and any ``*.tmp``
+        debris crashed writers left behind, including trees of older
+        store layouts); returns the number of entries removed.
+        Quarantined corpses are kept for auditing."""
         n = 0
-        for path in list(self._entries()) + list(self.root.glob("*.json")):
+        for path in list(self.root.rglob("*")):
+            if "quarantine" in path.relative_to(self.root).parts:
+                continue
+            if path.suffix not in (".json", ".tmp") or not path.is_file():
+                continue
             try:
                 path.unlink()
+            except OSError:
+                continue
+            if path.suffix == ".json":
                 n += 1
-            except OSError:
-                pass
-        for tmp in self.root.rglob("*.tmp"):
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
         return n

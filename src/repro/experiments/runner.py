@@ -97,11 +97,6 @@ class ExperimentContext:
     workloads: Optional[Tuple[str, ...]] = None
     matrices: Optional[Tuple[str, ...]] = None
     cache_dir: Optional[Union[str, Path]] = None
-    #: Byte budget of the on-disk store (None = unbounded); the store
-    #: LRU-evicts past it and reports ``cache.evicted`` metrics.
-    cache_max_bytes: Optional[int] = None
-    #: Shard count of the on-disk store (None = the store's default).
-    cache_shards: Optional[int] = None
     max_workers: Optional[int] = None
     on_error: str = "raise"
     retries: int = DEFAULT_RETRIES
@@ -129,12 +124,7 @@ class ExperimentContext:
         #: buffer peaks, ...), plus cache hit/miss counters.
         self.metrics = MetricsRegistry()
         self._disk: Optional[ResultCache] = (
-            ResultCache(
-                self.cache_dir,
-                shards=self.cache_shards,
-                max_bytes=self.cache_max_bytes,
-                metrics=self.metrics,
-            )
+            ResultCache(self.cache_dir, metrics=self.metrics)
             if self.cache_dir else None
         )
         #: Run manifests by result key — provenance for every result
@@ -232,18 +222,30 @@ class ExperimentContext:
             block_size = self.block_size
         return reorder, block_size
 
-    def _disk_lookup(self, key: Tuple):
-        """On-disk cache probe that also accounts quarantine events:
-        any SP604 diagnostic the probe produced feeds the sweep
-        observer and is attached to the point's next fresh manifest."""
+    def _serve_cached(self, key: Tuple) -> bool:
+        """Serve ``key`` from memory or from the on-disk store; False
+        on a miss. The disk probe also accounts quarantine events: any
+        SP604 diagnostic it produced feeds the sweep observer and is
+        attached to the point's next fresh manifest."""
+        if key in self._results:
+            self.metrics.counter("cache.memory_hits").inc()
+            return True
         if self._disk is None:
-            return None
+            return False
         entry = self._disk.get_entry(*key)
         for diag in self._disk.pop_diagnostics():
             self.diagnostics.on_diagnostic(diag)
             self.metrics.counter("cache.quarantined").inc()
             self._pending_faults.setdefault(key, []).append(diag)
-        return entry
+        if entry is None:
+            return False
+        self.metrics.counter("cache.disk_hits").inc()
+        self._results[key] = entry.result
+        self.manifests[key] = (
+            entry.manifest if entry.manifest is not None
+            else self._manifest_for(key, entry.result, from_cache=True)
+        )
+        return True
 
     def simulate(
         self,
@@ -259,19 +261,14 @@ class ExperimentContext:
         cfg = config or self.config
         reorder, block_size = self._resolve(reorder, block_size)
         key = self._result_key(arch, workload_name, matrix_name, cfg, reorder, block_size)
-        if key in self._results:
-            self.metrics.counter("cache.memory_hits").inc()
-            return self._results[key]
-        entry = self._disk_lookup(key)
-        if entry is not None:
-            self.metrics.counter("cache.disk_hits").inc()
-            self._results[key] = entry.result
-            self.manifests[key] = (
-                entry.manifest
-                if entry.manifest is not None
-                else self._manifest_for(key, entry.result, from_cache=True)
-            )
-            return entry.result
+        if not self._serve_cached(key):
+            self._simulate_fresh(key, cfg)
+        return self._results[key]
+
+    def _simulate_fresh(self, key: Tuple, cfg: SparsepipeConfig) -> SimResult:
+        """Run the engine for one point the caches missed and record
+        the result (memory, manifest, disk)."""
+        arch, workload_name, matrix_name, _, reorder, block_size = key
         profile = self.profile(workload_name, matrix_name)
         prep = self.prepared(matrix_name, reorder=reorder, block_size=block_size)
         paper_nnz = SUITE[matrix_name].paper_nnz
@@ -404,15 +401,7 @@ class ExperimentContext:
         for point, key in zip(points, keys):
             if key in self._results or key in seen:
                 continue
-            entry = self._disk_lookup(key)
-            if entry is not None:
-                self.metrics.counter("cache.disk_hits").inc()
-                self._results[key] = entry.result
-                self.manifests[key] = (
-                    entry.manifest
-                    if entry.manifest is not None
-                    else self._manifest_for(key, entry.result, from_cache=True)
-                )
+            if self._serve_cached(key):
                 continue
             seen.add(key)
             missing.append(point)
@@ -443,10 +432,8 @@ class ExperimentContext:
             else:
                 ordered = missing
                 outcome = supervised_map(
-                    lambda p: self.simulate(
-                        p[0], p[1], p[2],
-                        config=cfg, reorder=reorder, block_size=block_size,
-                    ),
+                    lambda p: self._simulate_fresh(
+                        self._result_key(*p, cfg, reorder, block_size), cfg),
                     ordered,
                     max_workers=1,
                     on_error=policy,
@@ -483,8 +470,9 @@ class ExperimentContext:
                 self._record_failed(
                     key, failure.error, events + [failure.diagnostic])
             elif key in self._results:
-                # The in-process path already recorded it via simulate();
-                # fold late-arriving fault records into its manifest.
+                # The in-process path already recorded it via
+                # _simulate_fresh(); fold late-arriving fault records
+                # into its manifest.
                 if events:
                     self._amend_manifest(key, events)
             else:

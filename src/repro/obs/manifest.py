@@ -3,8 +3,9 @@
 Every simulated (or cache-served) result can carry a
 :class:`RunManifest` recording the configuration content hash
 (:meth:`SparsepipeConfig.cache_key`), the preprocessing knobs, the
-seed, the git revision of the producing tree, the simulator cache
-:data:`~repro.engine.cache.CODE_VERSION`, a digest of the run's
+seed, the git revision of the producing tree, the
+:func:`~repro.engine.cache.code_digest` of the result-producing source
+(``code_version``), a digest of the run's
 metrics, and the wall-clock time spent producing it. Manifests make
 cached and fresh results distinguishable (``from_cache``) and
 auditable: two manifests with equal :meth:`~RunManifest.digest` came
@@ -63,14 +64,12 @@ class RunManifest:
     config_key: str                   #: SparsepipeConfig.cache_key()
     reorder: Optional[str]
     block_size: Optional[int]
-    code_version: str
+    code_version: str                 #: repro.engine.cache.code_digest()
     metrics_digest: str
     seed: Optional[int] = None
     git_rev: Optional[str] = None
     wall_time_s: Optional[float] = None
     from_cache: bool = False
-    #: Always False; kept so stored manifests load and exports keep their bytes.
-    coalesced: bool = False
     #: How the point got its result: ``"ok"`` (clean first attempt),
     #: ``"retried"`` (succeeded after SP601/SP602 degradation), or
     #: ``"failed"`` (exhausted its attempts; no result exists and
@@ -87,7 +86,7 @@ class RunManifest:
     #: noise and serving/failure provenance, not run identity — a
     #: sweep that survived a worker death must digest identically to
     #: an undisturbed one.
-    _UNSTABLE = ("wall_time_s", "from_cache", "coalesced", "status", "faults")
+    _UNSTABLE = ("wall_time_s", "from_cache", "status", "faults")
 
     def _plain(self) -> Tuple[Dict[str, object], str]:
         """``asdict(self)`` and the digest, built once and kept: the
@@ -166,7 +165,7 @@ def build_manifest(
         if result is None:
             raise ValueError("build_manifest needs a result or a registry")
         registry = registry_from_result(result)
-    from repro.engine.cache import CODE_VERSION  # lazy: cache imports us
+    from repro.engine.cache import code_digest  # lazy: cache imports us
 
     return RunManifest(
         arch=str(arch),
@@ -175,7 +174,7 @@ def build_manifest(
         config_key=config.cache_key() if hasattr(config, "cache_key") else str(config),
         reorder=reorder,
         block_size=block_size,
-        code_version=CODE_VERSION,
+        code_version=code_digest(),
         metrics_digest="" if registry is None else registry.digest(),
         seed=seed,
         git_rev=git_revision(),

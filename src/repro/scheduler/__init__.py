@@ -1,12 +1,11 @@
 """Pluggable execution substrates behind one job-lifecycle protocol.
 
-``submit / poll / collect_logs / cancel / shutdown`` — see
+``submit / poll / shutdown`` — see
 :mod:`repro.scheduler.base` for the contract and ``docs/scheduling.md``
 for the two backends (``inprocess`` / ``localpool``).
 """
 
 from repro.scheduler.base import (
-    CANCELLED,
     DEFAULT_RETRIES,
     DONE,
     FAILED,
@@ -27,7 +26,6 @@ from repro.scheduler.inprocess import InprocessScheduler
 from repro.scheduler.localpool import LocalPoolScheduler, pool_chunksize
 
 __all__ = [
-    "CANCELLED",
     "DEFAULT_RETRIES",
     "DONE",
     "FAILED",

@@ -1,7 +1,7 @@
 """The scheduler protocol: one job-lifecycle contract, many substrates.
 
 A :class:`Scheduler` owns the *execution substrate* of a fan-out —
-where each job's first attempt physically runs — behind five verbs:
+where each job's first attempt physically runs — behind three verbs:
 
 ``submit``
     Enqueue one ``(fn, item)`` as a :class:`SchedulerJob` (PENDING).
@@ -9,16 +9,8 @@ where each job's first attempt physically runs — behind five verbs:
     item's behalf.
 ``poll``
     Drive the substrate far enough to know the job's status and
-    return it. A terminal status (DONE / FAILED / CANCELLED) means
-    ``result`` / ``exception`` / ``logs`` are populated.
-``collect_logs``
-    Everything the job printed (stdout + stderr), reattached as one
-    string — pool workers capture it in-worker and ship it back with
-    the result.
-``cancel``
-    Withdraw a PENDING job (True). A job that already ran — or is
-    running — cannot be abandoned (False): simulators are not
-    interruptible mid-point.
+    return it. A terminal status (DONE / FAILED) means ``result`` /
+    ``exception`` is populated.
 ``shutdown``
     Release the substrate.
 
@@ -38,11 +30,9 @@ resolved by name through :func:`create_scheduler`; see
 
 from __future__ import annotations
 
-import io
 import itertools
 import threading
 from abc import ABC, abstractmethod
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Type, TypeVar,
@@ -59,13 +49,12 @@ POLICIES = ("raise", "skip", "retry")
 #: Default bounded re-attempts under ``on_error="retry"``.
 DEFAULT_RETRIES = 2
 
-#: Job lifecycle states. PENDING jobs may be cancelled; the other
-#: states are terminal except RUNNING (transient, substrate-side).
+#: Job lifecycle states. DONE and FAILED are terminal; RUNNING is
+#: transient, substrate-side.
 PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-CANCELLED = "cancelled"
 
 
 @dataclass(frozen=True)
@@ -117,8 +106,6 @@ class SchedulerJob:
     #: The exception behind a FAILED status (always set on failure —
     #: pool workers that cannot pickle theirs send a wrapped repr).
     exception: Optional[BaseException] = None
-    #: Captured stdout/stderr fragments, reattached by collect_logs.
-    logs: List[str] = field(default_factory=list)
 
     @property
     def error(self) -> Optional[str]:
@@ -156,7 +143,7 @@ def _call_with_watchdog(fn: Callable[[T], Any], item: T,
 
 
 class Scheduler(ABC):
-    """One execution substrate behind the five-verb protocol.
+    """One execution substrate behind the three-verb protocol.
 
     Every backend shares the constructor surface (``max_workers``,
     ``initializer``/``initargs``, ``chunksize``, ``timeout_s``) so the
@@ -210,17 +197,6 @@ class Scheduler(ABC):
             self._drive(job)
         return job.status
 
-    def collect_logs(self, job: SchedulerJob) -> str:
-        """Everything the job printed, as one reattached string."""
-        return "".join(job.logs)
-
-    def cancel(self, job: SchedulerJob) -> bool:
-        """Withdraw a PENDING job; False once it ran (or is running)."""
-        if job.status != PENDING:
-            return False
-        job.status = CANCELLED
-        return True
-
     def shutdown(self) -> None:
         """Release the substrate. Idempotent; the base class holds no
         external resources."""
@@ -264,21 +240,16 @@ class Scheduler(ABC):
             self.initializer(*self.initargs)
 
     def _execute_inprocess(self, job: SchedulerJob) -> None:
-        """Run one job here, under the watchdog, capturing output."""
+        """Run one job here, under the watchdog."""
         self._ensure_worker_init()
         job.status = RUNNING
-        buf = io.StringIO()
         try:
-            with redirect_stdout(buf), redirect_stderr(buf):
-                result = _call_with_watchdog(job.fn, job.item, self.timeout_s)
+            job.result = _call_with_watchdog(job.fn, job.item, self.timeout_s)
         except Exception as exc:
             job.exception = exc
             job.status = FAILED
         else:
-            job.result = result
             job.status = DONE
-        if buf.getvalue():
-            job.logs.append(buf.getvalue())
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +372,6 @@ def run_fanout(
                 index=job.index, item=job.item, error=repr(job.exception),
                 attempts=attempt, diagnostic=diag,
             ))
-        elif status == CANCELLED:
-            _count(metrics, "scheduler.cancelled")
     _absorb_substrate(scheduler, outcome, metrics)
     return outcome
 

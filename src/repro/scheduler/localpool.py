@@ -18,12 +18,10 @@ in-process path keeps the per-item watchdog applicable.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import redirect_stderr, redirect_stdout
 from typing import List, Optional, Tuple
 
 from repro.resilience import faults
@@ -60,21 +58,18 @@ def _worker_boot(initializer, initargs, plan) -> None:
 
 
 def _pooled_call(payload: Tuple) -> Tuple:
-    """In-worker wrapper: run one item, capture its output, and return
-    ``("ok", result, log)`` or ``("err", exception, log)`` — so a
-    raising item is a *value*, not a dead map iterator."""
+    """In-worker wrapper: run one item and return ``("ok", result)``
+    or ``("err", exception)`` — so a raising item is a *value*, not a
+    dead map iterator."""
     fn, item = payload
-    buf = io.StringIO()
     try:
-        with redirect_stdout(buf), redirect_stderr(buf):
-            result = fn(item)
+        return ("ok", fn(item))
     except Exception as exc:
         try:
             pickle.dumps(exc)
         except Exception:
             exc = RuntimeError(repr(exc))
-        return ("err", exc, buf.getvalue())
-    return ("ok", result, buf.getvalue())
+        return ("err", exc)
 
 
 @register_scheduler
@@ -116,9 +111,7 @@ class LocalPoolScheduler(Scheduler):
                 )
                 try:
                     for job in pending:
-                        tag, value, log = next(results)
-                        if log:
-                            job.logs.append(log)
+                        tag, value = next(results)
                         if tag == "ok":
                             job.result = value
                             job.status = DONE

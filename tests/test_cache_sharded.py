@@ -1,40 +1,49 @@
-"""The sharded, LRU-bounded result store under concurrent fire.
+"""The flat result store under concurrent fire, and its code digest.
 
 Three layers of lock-in for :class:`repro.engine.cache.ResultCache`:
 
-- **Layout** — entries shard deterministically by key digest, the
-  store validates its knobs, and quarantine is per shard.
-- **Budget** — the byte budget holds after every put, eviction is
-  least-recently-*used* (a ``get`` refreshes recency), the LRU order
-  survives a process restart, and every eviction is visible in the
-  metrics registry.
+- **Layout** — every entry of one code generation lives flat in
+  ``DIR/<code digest>/``, quarantine sits beside the entries, and
+  ``clear`` also sweeps older layouts.
+- **Code digest** — edits to result-producing modules change
+  :func:`~repro.engine.cache.code_digest`; edits to modules that only
+  consume results do not, and a store filled before a result-path
+  edit is never served after it.
 - **Stress** — many threads and many processes hammering one store
   concurrently produce no lost updates, no torn reads, no quarantine
-  events, no ``*.tmp`` debris, and never leave the store over budget;
-  injected read-side corruption (``cache.get`` fault site) quarantines
-  into the owning shard only.
+  events and no ``*.tmp`` debris; injected read-side corruption
+  (``cache.get`` fault site) quarantines every probed entry.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import random
+import shutil
+import subprocess
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.arch.config import SparsepipeConfig
 from repro.arch.simulator import SparsepipeSimulator
 from repro.arch.stats import SimResult
-from repro.engine.cache import DEFAULT_SHARDS, ResultCache
-from repro.errors import ConfigError
+from repro.engine.cache import (
+    PACKAGE_DIR,
+    ResultCache,
+    code_digest,
+    source_digest,
+)
 from repro.matrices import banded_mesh
 from repro.obs.metrics import MetricsRegistry
 from repro.preprocess import preprocess
 from repro.resilience.faults import Fault, FaultPlan, activate
-from tests.test_engine import make_profile
+from tests.test_engine import cached_result, make_profile
 
 
 @pytest.fixture(scope="module")
@@ -53,126 +62,133 @@ def _key(i: int):
 # ----------------------------------------------------------------------
 # Layout
 # ----------------------------------------------------------------------
-class TestShardLayout:
-    def test_entries_spread_across_shards(self, tmp_path, result):
-        cache = ResultCache(tmp_path)
-        for i in range(32):
-            cache.put(*_key(i), result=result)
-        populated = [d for d in cache.shard_dirs() if any(d.glob("*.json"))]
-        assert len(populated) > 1
-        assert len(cache) == 32
-        # Every entry went to the shard its path claims.
-        for shard in cache.shard_dirs():
-            for entry in shard.glob("*.json"):
-                assert entry.parent == shard
-
-    def test_same_key_same_path_and_shard(self, tmp_path, result):
+class TestFlatLayout:
+    def test_same_key_same_path(self, tmp_path, result):
         cache = ResultCache(tmp_path)
         first = cache.put(*_key(0), result=result)
         second = cache.put(*_key(0), result=result)
         assert first == second
+        assert first.parent == tmp_path / code_digest()
+        assert first.name.startswith("sparsepipe-pr-gy-")
         assert len(cache) == 1
-        assert cache.get(*_key(0)) == result
+        assert cached_result(cache, *_key(0)) == result
 
-    def test_default_and_single_shard_layouts(self, tmp_path, result):
-        assert ResultCache(tmp_path / "d").n_shards == DEFAULT_SHARDS
-        single = ResultCache(tmp_path / "s", shards=1)
-        for i in range(8):
-            single.put(*_key(i), result=result)
-        assert len(single) == 8
-        assert all(single.get(*_key(i)) == result for i in range(8))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"shards": 0}, {"shards": -2}, {"max_bytes": 0}, {"max_bytes": -1},
-    ])
-    def test_invalid_knobs_rejected(self, tmp_path, kwargs):
-        with pytest.raises(ConfigError):
-            ResultCache(tmp_path, **kwargs)
-
-    def test_quarantine_is_per_shard(self, tmp_path, result):
+    def test_quarantine_beside_entries(self, tmp_path, result):
         cache = ResultCache(tmp_path)
         paths = [cache.put(*_key(i), result=result) for i in range(6)]
-        # Corrupt two entries in (very likely) different shards.
         for path in (paths[0], paths[-1]):
             path.write_text("garbage{")
-        assert cache.get(*_key(0)) is None
-        assert cache.get(*_key(5)) is None
-        for path in (paths[0], paths[-1]):
-            corpse = path.parent / "quarantine" / path.name
-            assert corpse.exists()
-        assert len(cache.quarantine_paths()) == 2
+        assert cached_result(cache, *_key(0)) is None
+        assert cached_result(cache, *_key(5)) is None
+        assert cache.quarantine_paths() == sorted(
+            cache.quarantine_dir / p.name for p in (paths[0], paths[-1]))
         assert [d.code for d in cache.pop_diagnostics()] == ["SP604"] * 2
+        assert len(cache) == 4
+
+    def test_clear_sweeps_older_generations_and_layouts(
+            self, tmp_path, result):
+        old_shard = tmp_path / "shard-03"
+        (old_shard / "quarantine").mkdir(parents=True)
+        (old_shard / "a-pr-gy-0.json").write_text("{}")
+        (old_shard / "quarantine" / "b-pr-gy-0.json").write_text("{}")
+        old_generation = tmp_path / "0123456789abcdef"
+        old_generation.mkdir()
+        (old_generation / "c-pr-gy-0.json").write_text("{}")
+        (old_generation / "c-pr-gy-0.json.1.0.tmp").write_text("{")
+        cache = ResultCache(tmp_path)
+        cache.put(*_key(0), result=result)
+        assert cache.clear() == 3
+        left = sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*") if p.is_file())
+        assert left == ["shard-03/quarantine/b-pr-gy-0.json"]
 
 
 # ----------------------------------------------------------------------
-# Budget / LRU
+# Code digest
 # ----------------------------------------------------------------------
-class TestByteBudget:
-    def _bounded(self, root, result, n_entries_budget, **kwargs):
-        """A cache whose budget holds exactly ``n_entries_budget``
-        entries of ``result``'s serialized size."""
-        probe = ResultCache(root / "probe")
-        size = probe.put(*_key(0), result=result).stat().st_size
-        return ResultCache(
-            root / "store", max_bytes=size * n_entries_budget + size // 2,
-            **kwargs,
-        )
+def _append(path: Path, text: str = "\n# edited\n") -> None:
+    with open(path, "a") as handle:
+        handle.write(text)
 
-    def test_budget_invariant_after_every_put(self, tmp_path, result):
-        cache = self._bounded(tmp_path, result, n_entries_budget=3)
-        for i in range(10):
-            cache.put(*_key(i), result=result)
-            assert cache.live_bytes() <= cache.max_bytes
-        assert len(cache) == 3
 
-    def test_eviction_is_least_recently_used(self, tmp_path, result):
-        cache = self._bounded(tmp_path, result, n_entries_budget=3)
-        for i in range(3):
-            cache.put(*_key(i), result=result)
-        # Refresh key 0: it is now the *most* recently used.
-        assert cache.get(*_key(0)) == result
-        cache.put(*_key(3), result=result)
-        assert cache.get(*_key(1)) is None   # oldest untouched: evicted
-        assert cache.get(*_key(0)) == result  # refreshed: survived
-        assert cache.get(*_key(3)) == result
+@pytest.fixture
+def package_copy(tmp_path) -> Path:
+    """A private copy of the ``repro`` package tree."""
+    copy = tmp_path / "src" / "repro"
+    shutil.copytree(PACKAGE_DIR, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
 
-    def test_lru_order_survives_restart(self, tmp_path, result):
-        cache = self._bounded(tmp_path, result, n_entries_budget=3)
-        for i in range(3):
-            cache.put(*_key(i), result=result)
-        # A brand-new store over the same directory (fresh logical
-        # clock, seeded from disk) must continue the same LRU order.
-        reopened = ResultCache(cache.root, max_bytes=cache.max_bytes)
-        assert reopened.get(*_key(0)) == result
-        reopened.put(*_key(3), result=result)
-        assert reopened.get(*_key(1)) is None
-        assert reopened.get(*_key(0)) == result
 
-    def test_eviction_reported_through_metrics(self, tmp_path, result):
-        registry = MetricsRegistry()
-        probe = ResultCache(tmp_path / "probe")
-        size = probe.put(*_key(0), result=result).stat().st_size
-        cache = ResultCache(
-            tmp_path / "store", max_bytes=3 * size + size // 2,
-            metrics=registry,
-        )
-        for i in range(5):
-            cache.put(*_key(i), result=result)
-        assert registry.value("cache.evicted") == 2
-        assert registry.value("cache.evicted_bytes") == 2 * size
-        assert registry.value("cache.bytes") == cache.live_bytes()
-        assert cache.get(*_key(4)) == result
-        assert cache.get(*_key(0)) is None
-        assert registry.value("cache.hits") == 1
-        assert registry.value("cache.misses") == 1
+class TestCodeDigest:
+    def test_installed_digest_is_the_tree_digest(self):
+        assert code_digest() == source_digest(PACKAGE_DIR)
 
-    def test_unbounded_store_never_evicts(self, tmp_path, result):
-        registry = MetricsRegistry()
-        cache = ResultCache(tmp_path, metrics=registry)
-        for i in range(20):
-            cache.put(*_key(i), result=result)
-        assert len(cache) == 20
-        assert registry.value("cache.evicted") == 0
+    @pytest.mark.parametrize("module", [
+        "matrices/suite.py", "arch/simulator.py", "analysis/absint.py",
+        "workloads/pagerank.py", "engine/cache.py",
+    ])
+    def test_result_path_edit_changes_digest(self, package_copy, module):
+        before = source_digest(package_copy)
+        _append(package_copy / module)
+        assert source_digest(package_copy) != before
+
+    @pytest.mark.parametrize("module", [
+        "experiments/summary.py", "obs/metrics.py", "scheduler/base.py",
+        "resilience/faults.py", "__main__.py", "testing.py",
+    ])
+    def test_consumer_edit_keeps_digest(self, package_copy, module):
+        before = source_digest(package_copy)
+        _append(package_copy / module)
+        assert source_digest(package_copy) == before
+
+    def test_new_result_module_changes_digest(self, package_copy):
+        before = source_digest(package_copy)
+        (package_copy / "arch" / "extra.py").write_text("X = 1\n")
+        assert source_digest(package_copy) != before
+
+
+_PROBE = """
+import json, sys
+from repro.experiments.runner import ExperimentContext
+ctx = ExperimentContext(matrices=("gy",), cache_dir=sys.argv[1])
+result = ctx.simulate("sparsepipe", "pr", "gy")
+print(json.dumps({"cycles": result.cycles,
+                  "disk_hits": ctx.metrics.value("cache.disk_hits")}))
+"""
+
+
+def _probe(package: Path, store: Path) -> dict:
+    """Simulate sparsepipe/pr/gy with the package copy on a store."""
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(store)], env=env,
+        cwd=package.parent, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestStaleStore:
+    def test_store_follows_the_source(self, package_copy, tmp_path):
+        store = tmp_path / "store"
+        cold = _probe(package_copy, store)
+        assert cold["disk_hits"] == 0
+        # Consumer-only edits keep serving the stored point...
+        _append(package_copy / "experiments" / "summary.py")
+        _append(package_copy / "obs" / "metrics.py")
+        assert _probe(package_copy, store) == {
+            "cycles": cold["cycles"], "disk_hits": 1}
+        # ...a generator edit must not: gy loses a third of its
+        # non-zeros, so the stored cycles are stale.
+        suite = package_copy / "matrices" / "suite.py"
+        text = suite.read_text()
+        assert "gen.banded_mesh(1736, 160, 17890, seed=102)" in text
+        suite.write_text(
+            text.replace("160, 17890, seed=102", "160, 12000, seed=102"))
+        edited = _probe(package_copy, store)
+        assert edited["disk_hits"] == 0
+        assert abs(edited["cycles"] - cold["cycles"]) > 1.0
 
 
 # ----------------------------------------------------------------------
@@ -194,45 +210,36 @@ def _hammer(cache: ResultCache, doc: dict, seed: int, n_ops: int) -> int:
         if rng.random() < 0.5:
             cache.put(*_key(i), result=expected)
         else:
-            got = cache.get(*_key(i))
+            got = cached_result(cache, *_key(i))
             if got is not None:
                 assert got == expected, f"torn/lost entry for key {i}"
                 hits += 1
     return hits
 
 
-def _process_worker(root: str, doc: dict, max_bytes: int,
-                    seed: int, n_ops: int) -> int:
-    cache = ResultCache(root, max_bytes=max_bytes)
-    return _hammer(cache, doc, seed, n_ops)
+def _process_worker(root: str, doc: dict, seed: int, n_ops: int) -> int:
+    return _hammer(ResultCache(root), doc, seed, n_ops)
 
 
 def _assert_store_sane(cache: ResultCache, result: SimResult) -> None:
-    """Post-stress invariants: no debris, no quarantine, within
-    budget, every survivor readable and exact."""
+    """Post-stress invariants: no debris, no quarantine, every
+    survivor readable and exact."""
     assert list(cache.root.rglob("*.tmp")) == []
     assert cache.quarantine_paths() == []
     assert cache.pop_diagnostics() == []
-    if cache.max_bytes is not None:
-        assert cache.live_bytes() <= cache.max_bytes
     survivors = 0
     for i in range(N_KEYS):
-        got = cache.get(*_key(i))
+        got = cached_result(cache, *_key(i))
         if got is not None:
             assert got == result
             survivors += 1
-    assert survivors >= 1  # the store didn't just evict everything
+    assert survivors == len(cache) >= 1
 
 
 class TestConcurrencyStress:
     def test_thread_stress_no_lost_updates(self, tmp_path, result):
-        probe = ResultCache(tmp_path / "probe")
-        size = probe.put(*_key(0), result=result).stat().st_size
         registry = MetricsRegistry()
-        cache = ResultCache(
-            tmp_path / "store", max_bytes=size * (N_KEYS // 2),
-            metrics=registry,
-        )
+        cache = ResultCache(tmp_path / "store", metrics=registry)
         doc = result.to_dict()
         errors: list = []
 
@@ -244,35 +251,39 @@ class TestConcurrencyStress:
 
         threads = [threading.Thread(target=worker, args=(s,))
                    for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # The store holds no locks: switch threads often so that any
+        # check-then-act race between a put and a probe shows up.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
         _assert_store_sane(cache, result)
-        assert registry.value("cache.evicted") > 0  # budget actually bit
+        assert registry.value("cache.hits") > 0
 
     def test_process_stress_no_lost_updates(self, tmp_path, result):
-        probe = ResultCache(tmp_path / "probe")
-        size = probe.put(*_key(0), result=result).stat().st_size
-        max_bytes = size * (N_KEYS // 2)
         root = tmp_path / "store"
         doc = result.to_dict()
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=4, mp_context=ctx) as pool:
             futures = [
-                pool.submit(_process_worker, str(root), doc, max_bytes,
-                            seed, 80)
+                pool.submit(_process_worker, str(root), doc, seed, 80)
                 for seed in range(4)
             ]
             for future in futures:
                 future.result(timeout=120)  # re-raises worker assertions
-        _assert_store_sane(ResultCache(root, max_bytes=max_bytes), result)
+        _assert_store_sane(ResultCache(root), result)
 
     def test_threads_and_processes_together(self, tmp_path, result):
         root = tmp_path / "store"
         doc = result.to_dict()
-        cache = ResultCache(root)  # unbounded: count survivors exactly
+        cache = ResultCache(root)
         errors: list = []
 
         def worker(seed: int) -> None:
@@ -286,8 +297,7 @@ class TestConcurrencyStress:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
             futures = [
-                pool.submit(_process_worker, str(root), doc, 1 << 40,
-                            seed + 100, 60)
+                pool.submit(_process_worker, str(root), doc, seed + 100, 60)
                 for seed in range(2)
             ]
             for t in threads:
@@ -303,6 +313,8 @@ class TestConcurrencyStress:
 class TestInjectedCorruption:
     def test_read_faults_quarantine_into_owning_shard(
             self, tmp_path, result):
+        # The owning directory is the code generation's: corpses land
+        # beside its entries.
         registry = MetricsRegistry()
         cache = ResultCache(tmp_path, metrics=registry)
         paths = [cache.put(*_key(i), result=result) for i in range(4)]
@@ -311,17 +323,17 @@ class TestInjectedCorruption:
         })
         with activate(plan):
             for i in range(4):
-                assert cache.get(*_key(i)) is None
-        # Each corpse sits in its own entry's shard quarantine.
+                assert cached_result(cache, *_key(i)) is None
         for path in paths:
-            assert (path.parent / "quarantine" / path.name).exists()
+            assert (cache.quarantine_dir / path.name).exists()
             assert not path.exists()
         assert len(cache.quarantine_paths()) == 4
         diags = cache.pop_diagnostics()
         assert [d.code for d in diags] == ["SP604"] * 4
-        # Quarantined corpses never count against the live budget...
+        assert registry.value("cache.misses") == 4
+        # Quarantined corpses are not live entries...
         assert len(cache) == 0
         # ...and the slots repopulate on the next put.
         cache.put(*_key(0), result=result)
         with activate(FaultPlan(seed=7, faults={})):
-            assert cache.get(*_key(0)) == result
+            assert cached_result(cache, *_key(0)) == result

@@ -33,6 +33,12 @@ from repro.preprocess import preprocess
 BUILTINS = ("sparsepipe", "ideal", "oracle", "cpu", "gpu", "software_oei")
 
 
+def cached_result(cache: ResultCache, *key):
+    """The stored result for ``key``, or None on any kind of miss."""
+    entry = cache.get_entry(*key)
+    return None if entry is None else entry.result
+
+
 def make_profile(**overrides) -> WorkloadProfile:
     base = dict(
         name="pr",
@@ -224,25 +230,34 @@ class TestResultCache:
         result = self._result(prep)
         cache = ResultCache(tmp_path)
         key = ("sparsepipe", "pr", "gy", "abc123", "vanilla", 256)
-        assert cache.get(*key) is None
+        assert cached_result(cache, *key) is None
         cache.put(*key, result=result)
         assert len(cache) == 1
-        restored = cache.get(*key)
+        restored = cached_result(cache, *key)
         assert restored == result  # dataclass equality, bit-for-bit floats
 
     def test_distinct_keys_do_not_collide(self, prep, tmp_path):
         result = self._result(prep)
         cache = ResultCache(tmp_path)
         cache.put("sparsepipe", "pr", "gy", "abc", None, None, result=result)
-        assert cache.get("sparsepipe", "pr", "gy", "OTHER", None, None) is None
-        assert cache.get("ideal", "pr", "gy", "abc", None, None) is None
+        assert cached_result(cache, "sparsepipe", "pr", "gy", "OTHER",
+                             None, None) is None
+        assert cached_result(cache, "ideal", "pr", "gy", "abc",
+                             None, None) is None
 
-    def test_code_version_bump_invalidates(self, prep, tmp_path):
+    def test_code_version_bump_invalidates(self, prep, tmp_path,
+                                           monkeypatch):
+        import repro.engine.cache as cache_mod
+
         result = self._result(prep)
         key = ("sparsepipe", "pr", "gy", "abc", None, None)
-        ResultCache(tmp_path, code_version="1").put(*key, result=result)
-        assert ResultCache(tmp_path, code_version="1").get(*key) == result
-        assert ResultCache(tmp_path, code_version="2").get(*key) is None
+        monkeypatch.setattr(cache_mod, "code_digest", lambda: "1")
+        ResultCache(tmp_path).put(*key, result=result)
+        assert cached_result(ResultCache(tmp_path), *key) == result
+        monkeypatch.setattr(cache_mod, "code_digest", lambda: "2")
+        assert cached_result(ResultCache(tmp_path), *key) is None
+        # Each code generation keeps its own flat directory.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1", "2"]
 
     def test_corrupt_entry_is_a_miss(self, prep, tmp_path):
         result = self._result(prep)
@@ -250,10 +265,10 @@ class TestResultCache:
         key = ("sparsepipe", "pr", "gy", "abc", None, None)
         path = cache.put(*key, result=result)
         path.write_text("not json{")
-        assert cache.get(*key) is None
+        assert cached_result(cache, *key) is None
         doc = {"key": "wrong", "result": result.to_dict()}
         path.write_text(json.dumps(doc))
-        assert cache.get(*key) is None
+        assert cached_result(cache, *key) is None
 
     def test_clear_removes_everything(self, prep, tmp_path):
         result = self._result(prep)
@@ -288,7 +303,7 @@ class TestDiskCachedContext:
 
         ctx = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         ctx.simulate("ideal", "pr", "gy")
-        monkeypatch.setattr(cache_mod, "CODE_VERSION", "999")
+        monkeypatch.setattr(cache_mod, "code_digest", lambda: "999")
         fresh = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         ran = []
         real = runner_mod.run_engine

@@ -23,6 +23,7 @@ from repro.resilience import (
 from repro.resilience import faults as faults_mod
 from repro.scheduler import FanoutOutcome
 from repro.scheduler.localpool import pool_chunksize
+from tests.test_engine import cached_result
 
 _PARENT_PID = os.getpid()
 
@@ -248,12 +249,11 @@ class TestCacheTempFiles:
         cache.put("a", "pr", "gy", "k", None, None, result=result)
         debris = tmp_path / f"entry.json.{os.getpid()}.0.tmp"
         debris.write_text("{half-written")
-        shard_debris = (cache.shard_dir(0)
-                        / f"entry.json.{os.getpid()}.1.tmp")
-        shard_debris.write_text("{half-written")
+        entry_debris = cache.dir / f"entry.json.{os.getpid()}.1.tmp"
+        entry_debris.write_text("{half-written")
         assert cache.clear() == 1
         assert not debris.exists()
-        assert not shard_debris.exists()
+        assert not entry_debris.exists()
         assert list(tmp_path.rglob("*.tmp")) == []
 
 
@@ -290,10 +290,10 @@ class TestCacheQuarantine:
             doc["result"] = {"cycles": "tampered"}
             path.write_text(json.dumps(doc))
         # Miss cleanly...
-        assert cache.get(*self.KEY) is None
+        assert cached_result(cache, *self.KEY) is None
         # ...quarantine the corpse (never silently re-missed forever)...
         assert not path.exists()
-        # Quarantine lives beside the entry, inside its own shard.
+        # Quarantine lives beside the entries.
         assert (path.parent / "quarantine" / path.name).exists()
         assert [p.name for p in cache.quarantine_paths()] == [path.name]
         diags = cache.pop_diagnostics()
@@ -301,12 +301,12 @@ class TestCacheQuarantine:
         assert cache.pop_diagnostics() == []
         # ...and re-populate on the next put.
         cache.put(*self.KEY, result=result)
-        assert cache.get(*self.KEY) == result
+        assert cached_result(cache, *self.KEY) == result
 
     def test_missing_file_is_plain_miss_no_quarantine(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get(*self.KEY) is None
-        assert not any(d.exists() for d in cache.quarantine_dirs())
+        assert cached_result(cache, *self.KEY) is None
+        assert not cache.quarantine_dir.exists()
         assert cache.pop_diagnostics() == []
 
     def test_context_counts_quarantine(self, tmp_path):

@@ -1,11 +1,11 @@
 """Scheduler-backend conformance suite.
 
 One parametrized suite run identically against every registered
-backend (``inprocess`` / ``localpool``): protocol
-semantics (submit/poll/collect_logs/cancel/shutdown), the supervised
-failure policies (raise/skip/retry), the watchdog, log reattachment,
-and sweep-level conformance — bit-identical ``SimResult``s and
-digest-stable manifests regardless of substrate. Backends may not
+backend (``inprocess`` / ``localpool``): protocol semantics
+(submit/poll/shutdown), the supervised failure policies
+(raise/skip/retry), the watchdog, and sweep-level conformance —
+bit-identical ``SimResult``s and digest-stable manifests regardless of
+substrate. Backends may not
 special-case their way out: the test ids name the backend, so a
 failure reads as a conformance violation of that backend.
 
@@ -25,7 +25,6 @@ from repro.experiments.runner import ExperimentContext
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import supervised_map
 from repro.scheduler import (
-    CANCELLED,
     DONE,
     FAILED,
     PENDING,
@@ -57,11 +56,6 @@ SWEEP_POINTS = [
 # Module-level (picklable) job functions
 # ----------------------------------------------------------------------
 def _double(x):
-    return x * 2
-
-
-def _print_and_double(x):
-    print(f"computing {x}")
     return x * 2
 
 
@@ -145,27 +139,6 @@ class TestProtocol:
         assert sched.poll(job) == FAILED
         assert isinstance(job.exception, Exception)
         assert "permanent" in job.error
-
-    def test_cancel_semantics(self, make_scheduler):
-        sched = make_scheduler()
-        keep = sched.submit(_double, 1)
-        drop = sched.submit(_double, 2)
-        # A PENDING job can be withdrawn; it never runs.
-        assert sched.cancel(drop) is True
-        assert drop.status == CANCELLED
-        assert sched.poll(keep) == DONE
-        assert drop.status == CANCELLED and drop.result is None
-        # A job that already ran cannot be abandoned retroactively.
-        assert sched.cancel(keep) is False
-        assert keep.status == DONE
-
-    def test_log_reattachment(self, make_scheduler):
-        sched = make_scheduler()
-        jobs = [sched.submit(_print_and_double, x, index=x) for x in (1, 2)]
-        for job in jobs:
-            sched.poll(job)
-        for x, job in zip((1, 2), jobs):
-            assert f"computing {x}" in sched.collect_logs(job)
 
 
 class TestPolicies:
