@@ -387,9 +387,20 @@ def _add_diag_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_context_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
+        "-j", "--jobs", type=_worker_count, default=None, metavar="N",
         help="simulate on N worker processes (default: serial)",
     )
     parser.add_argument(

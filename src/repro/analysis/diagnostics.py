@@ -243,11 +243,10 @@ for _s in (
               "every Future.result()/join a timeout so a hung worker "
               "cannot hang the sweep"),
         _spec("SP914", "pool-outside-scheduler-backend", Severity.ERROR,
-              "ProcessPoolExecutor is an execution substrate and lives "
-              "behind the scheduler protocol; only the localpool "
-              "backend (scheduler/localpool.py) may name it — go "
-              "through repro.scheduler (create_scheduler/run_fanout) "
-              "instead"),
+              "ProcessPoolExecutor is an execution substrate; only the "
+              "localpool pool pass (scheduler/localpool.py) may name "
+              "it — fan out through "
+              "repro.resilience.supervisor.supervised_map instead"),
     ):
     register_code(_s)
 del _s

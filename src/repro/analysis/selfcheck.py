@@ -54,11 +54,11 @@ The **SP91x concurrency-safety family** targets the fan-out arc
   not block unboundedly:
   ``time.sleep`` polling and no-timeout ``Future.result()`` calls can
   hang an entire sweep behind one dead worker.
-- **SP914** — ``ProcessPoolExecutor`` is an execution substrate and
-  belongs behind the scheduler protocol: only the ``localpool``
-  backend (``scheduler/localpool.py``) may name it. ``supervised_map``
-  / ``simulate_many`` stay backend-agnostic — code that wants a pool
-  goes through :mod:`repro.scheduler`.
+- **SP914** — ``ProcessPoolExecutor`` is an execution substrate: only
+  the ``localpool`` pool pass (``scheduler/localpool.py``) may name
+  it. Code that wants a pool calls
+  :func:`repro.resilience.supervisor.supervised_map`, which gets its
+  retries, watchdog and SP601 degrade paths with it.
 
 Run it with ``python -m repro selfcheck`` (wired into CI's lint job).
 """
@@ -97,8 +97,8 @@ INITIALIZER_MARKERS = ("init", "worker", "install", "ensure", "boot")
 #: Supervisor-side modules that must never block unboundedly (SP913).
 SUPERVISOR_PATHS = ("resilience/", "scheduler/")
 
-#: The one module allowed to name ProcessPoolExecutor — the pool
-#: substrate behind the scheduler protocol (SP914).
+#: The one module allowed to name ProcessPoolExecutor — the pool pass
+#: behind supervised_map (SP914).
 POOL_BACKEND = "scheduler/localpool.py"
 
 #: Calls that introduce nondeterminism when they appear in a hot path.
@@ -460,9 +460,8 @@ def _check_pool_confinement(
             continue
         report.add("SP914",
                    "names ProcessPoolExecutor outside the localpool "
-                   f"backend ({POOL_BACKEND}); execution substrates live "
-                   "behind the scheduler protocol — use "
-                   "repro.scheduler.create_scheduler/run_fanout",
+                   f"backend ({POOL_BACKEND}); fan out through "
+                   "repro.resilience.supervisor.supervised_map instead",
                    f"{ctx.rel}:{lineno}")
 
 

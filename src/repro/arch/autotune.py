@@ -7,16 +7,17 @@ implements that exploration: candidate widths are evaluated on a
 bounded prefix of the run (the "initial steps") and the fastest is
 adopted for the remainder.
 
-Candidate probes are independent pure simulations, so with
-``max_workers > 1`` they fan out through
-:func:`~repro.resilience.supervisor.supervised_map` and probe widths in
-parallel. Selection is deterministic either way: lowest cycle count
-wins, first candidate wins ties.
+Candidate probes are independent pure simulations that go through one
+:func:`~repro.resilience.supervisor.supervised_map` call, which probes
+widths in parallel when ``max_workers > 1`` and serially otherwise.
+Selection is deterministic either way: lowest cycle count wins, first
+candidate wins ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import SparsepipeConfig
@@ -82,36 +83,21 @@ def _probe_cycles(
     widths: Sequence[int], arch, config, probe_profile, matrix, paper_nnz,
     max_workers: Optional[int],
 ) -> List[float]:
-    if max_workers is None or max_workers <= 1:
-        _init_probe_worker(arch, config, probe_profile, matrix, paper_nnz)
-        return [_probe_width(width) for width in widths]
     from repro.resilience.supervisor import supervised_map
 
     outcome = supervised_map(
-        _probe_width, widths,
+        partial(_probe_width, (arch, config, probe_profile, matrix, paper_nnz)),
+        widths,
         max_workers=max_workers,
-        initializer=_init_probe_worker,
-        initargs=(arch, config, probe_profile, matrix, paper_nnz),
         labels=[f"width={w}" for w in widths],
     )
     return outcome.results
 
 
-# ----------------------------------------------------------------------
-# Probe worker side (module-level: must be picklable for pool workers)
-# ----------------------------------------------------------------------
-_PROBE_STATE: Optional[Tuple] = None
-
-
-def _init_probe_worker(arch, config, probe_profile, matrix, paper_nnz) -> None:
-    """Ship the shared probe inputs once per worker process."""
-    global _PROBE_STATE
-    _PROBE_STATE = (arch, config, probe_profile, matrix, paper_nnz)
-
-
-def _probe_width(width: int) -> float:
-    """Cycle count of one candidate width on the probe prefix."""
-    arch, config, probe_profile, matrix, paper_nnz = _PROBE_STATE
+def _probe_width(state: Tuple, width: int) -> float:
+    """Cycle count of one candidate width on the probe prefix
+    (module-level, so the bound partial pickles for pool workers)."""
+    arch, config, probe_profile, matrix, paper_nnz = state
     probe_config = replace(config, subtensor_cols=int(width))
     probe = run_engine(
         arch, probe_config, probe_profile, matrix, paper_nnz=paper_nnz

@@ -10,7 +10,11 @@ Architecture dispatch goes through the engine registry
 keys are content hashes (:meth:`SparsepipeConfig.cache_key`), shared
 by the optional on-disk cache (``cache_dir``) so repeated figure and
 benchmark runs are near-free, and :meth:`simulate_many` fans a sweep
-out over a process pool with deterministic, serial-identical results.
+out through :func:`~repro.resilience.supervisor.supervised_map` with
+deterministic, serial-identical results: pool workers (``max_workers >
+1``) build their own worker context, while every attempt that runs in
+this process — serial sweeps, the tail after a pool break, retries —
+runs on the context itself.
 
 Resilience (:mod:`repro.resilience`): the fan-out is supervised — a
 worker killed mid-sweep (``BrokenProcessPool``) degrades to in-process
@@ -41,14 +45,15 @@ from repro.arch.stats import SimResult
 from repro.engine.cache import ResultCache
 from repro.engine.instrumentation import DiagnosticsObserver
 from repro.engine.registry import arch_names, get_arch, run_engine
-from repro.errors import Diagnostic
+from repro.errors import ConfigError, Diagnostic
 from repro.resilience.faults import maybe_die
 from repro.resilience.supervisor import supervised_map
 from repro.scheduler import (
     DEFAULT_RETRIES,
-    POLICIES,
     FanoutOutcome,
+    check_policy,
     is_distributed,
+    use_pool,
 )
 from repro.graphblas.matrix import Matrix
 from repro.matrices.suite import SUITE, load_suite_matrix, suite_names
@@ -83,12 +88,12 @@ class ExperimentContext:
     ``workloads``/``matrices`` default to the full Table-III / Table-I
     sets; pass subsets for quick exploratory runs and tests.
     ``cache_dir`` enables the persistent on-disk result cache;
-    ``max_workers`` sets the default process-pool width of
+    ``max_workers`` (>= 1) sets the default process-pool width of
     :meth:`simulate_many` (``None`` = serial). ``on_error`` is the
     default per-point failure policy of :meth:`simulate_many`
-    (``"raise"`` | ``"skip"`` | ``"retry"``), ``retries`` bounds the
-    re-attempts under ``"retry"``, and ``timeout_s`` arms the
-    per-point watchdog for in-process attempts.
+    (``"raise"`` | ``"skip"`` | ``"retry"``), ``retries`` (>= 0)
+    bounds the re-attempts under ``"retry"``, and ``timeout_s`` (> 0)
+    arms the per-point watchdog for in-process attempts.
     """
 
     config: SparsepipeConfig = field(default_factory=SparsepipeConfig)
@@ -104,17 +109,22 @@ class ExperimentContext:
     #: Scheduler backend name for :meth:`simulate_many` fan-outs
     #: (``"inprocess"`` | ``"localpool"``); ``None`` picks a local pool
     #: when both ``max_workers`` and the missing-point count exceed
-    #: one, serial in-process otherwise.
+    #: one, serial in-process otherwise
+    #: (:func:`repro.scheduler.base.use_pool`).
     scheduler: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.on_error not in POLICIES:
-            from repro.errors import ConfigError
-
-            raise ConfigError(
-                f"on_error must be one of {POLICIES}, got {self.on_error!r}")
+        check_policy(self.on_error)
         if self.scheduler is not None:
             is_distributed(self.scheduler)  # ConfigError on unknown names
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ConfigError(
+                f"max_workers must be >= 1, got {self.max_workers}")
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ConfigError(
+                f"timeout_s must be > 0, got {self.timeout_s}")
         self._preps: Dict[Tuple, PreprocessResult] = {}
         self._graphblas: Dict[str, Matrix] = {}
         self._profiles: Dict[Tuple[str, str], WorkloadProfile] = {}
@@ -268,14 +278,23 @@ class ExperimentContext:
     def _simulate_fresh(self, key: Tuple, cfg: SparsepipeConfig) -> SimResult:
         """Run the engine for one point the caches missed and record
         the result (memory, manifest, disk)."""
+        result, wall_time_s = self._run_point(key, cfg)
+        self._record_fresh(key, result, wall_time_s=wall_time_s)
+        return result
+
+    def _run_point(
+        self, key: Tuple, cfg: SparsepipeConfig,
+    ) -> Tuple[SimResult, float]:
+        """Run the engine for one point on this context's matrices and
+        profiles, recording nothing; returns the result and the
+        engine's wall time."""
         arch, workload_name, matrix_name, _, reorder, block_size = key
         profile = self.profile(workload_name, matrix_name)
         prep = self.prepared(matrix_name, reorder=reorder, block_size=block_size)
         paper_nnz = SUITE[matrix_name].paper_nnz
         with Stopwatch() as watch:
             result = run_engine(arch, cfg, profile, prep, paper_nnz=paper_nnz)
-        self._record_fresh(key, result, wall_time_s=watch.elapsed)
-        return result
+        return result, watch.elapsed
 
     def _manifest_for(
         self, key: Tuple, result: SimResult,
@@ -361,9 +380,11 @@ class ExperimentContext:
         calling :meth:`simulate` serially — the fan-out only changes
         wall-clock time. Cached points (in-memory or on-disk) are never
         re-simulated; uncached points are grouped by matrix so each
-        worker pre-materializes a matrix once and serves every point
-        on it from its local caches. ``max_workers=None`` falls back
-        to the context default (serial when that is unset too).
+        pool worker materializes a matrix once and serves every point
+        on it from its own worker context. ``max_workers=None`` falls
+        back to the context default (serial when that is unset too).
+        Every attempt that runs in this process uses this context, and
+        every fresh point is recorded here, once.
 
         The fan-out is supervised: a broken process pool (worker
         OOM-killed) degrades to in-process execution with an SP601
@@ -383,12 +404,7 @@ class ExperimentContext:
         points = [tuple(p) for p in points]
         for arch, _, _ in points:
             get_arch(arch)
-        policy = self.on_error if on_error is None else on_error
-        if policy not in POLICIES:
-            from repro.errors import ConfigError
-
-            raise ConfigError(
-                f"on_error must be one of {POLICIES}, got {policy!r}")
+        policy = check_policy(self.on_error if on_error is None else on_error)
         cfg = config or self.config
         reorder, block_size = self._resolve(reorder, block_size)
         keys = [
@@ -408,40 +424,27 @@ class ExperimentContext:
 
         if missing:
             workers = self.max_workers if max_workers is None else max_workers
-            distributed = (
-                is_distributed(self.scheduler) if self.scheduler is not None
-                else workers is not None and workers > 1 and len(missing) > 1
-            )
-            if distributed:
+            ordered = missing
+            if use_pool(self.scheduler, len(missing), workers):
                 # Group by matrix so per-worker chunks reuse the
-                # materialized matrix, profile, and preprocessing.
+                # materialized matrix, profile, and preprocessing. A
+                # serial sweep keeps the caller's order: matrix-major
+                # raises a cold export's peak RSS by about 5 MB.
                 ordered = sorted(missing, key=lambda p: (p[2], p[1], p[0]))
-                outcome = supervised_map(
-                    _simulate_one_point,
-                    ordered,
-                    max_workers=workers,
-                    initializer=_init_worker_context,
-                    initargs=(cfg, reorder, block_size),
-                    on_error=policy,
-                    retries=self.retries,
-                    timeout_s=self.timeout_s,
-                    labels=["/".join(p) for p in ordered],
-                    scheduler=self.scheduler,
-                    metrics=self.metrics,
-                )
-            else:
-                ordered = missing
-                outcome = supervised_map(
-                    lambda p: self._simulate_fresh(
-                        self._result_key(*p, cfg, reorder, block_size), cfg),
-                    ordered,
-                    max_workers=1,
-                    on_error=policy,
-                    retries=self.retries,
-                    timeout_s=self.timeout_s,
-                    labels=["/".join(p) for p in ordered],
-                    metrics=self.metrics,
-                )
+            outcome = supervised_map(
+                lambda p: self._run_point(
+                    self._result_key(*p, cfg, reorder, block_size), cfg),
+                ordered,
+                max_workers=workers,
+                worker=(_simulate_one_point, _init_worker_context,
+                        (cfg, reorder, block_size)),
+                on_error=policy,
+                retries=self.retries,
+                timeout_s=self.timeout_s,
+                labels=["/".join(p) for p in ordered],
+                scheduler=self.scheduler,
+                metrics=self.metrics,
+            )
             self._absorb_outcome(outcome, ordered, cfg, reorder, block_size)
         return [self._results.get(key) for key in keys]
 
@@ -469,29 +472,10 @@ class ExperimentContext:
                 self.diagnostics.on_diagnostic(failure.diagnostic)
                 self._record_failed(
                     key, failure.error, events + [failure.diagnostic])
-            elif key in self._results:
-                # The in-process path already recorded it via
-                # _simulate_fresh(); fold late-arriving fault records
-                # into its manifest.
-                if events:
-                    self._amend_manifest(key, events)
             else:
-                # Wall time is unknown per point in the fan-out;
-                # the manifest records None rather than a guess.
-                self._record_fresh(key, outcome.results[index], faults=events)
-
-    def _amend_manifest(self, key: Tuple,
-                        events: Sequence[Diagnostic]) -> None:
-        from dataclasses import replace
-
-        manifest = self.manifests.get(key)
-        if manifest is None:
-            return
-        self.manifests[key] = replace(
-            manifest,
-            status="retried" if manifest.status == "ok" else manifest.status,
-            faults=manifest.faults + tuple(d.as_dict() for d in events),
-        )
+                result, wall_time_s = outcome.results[index]
+                self._record_fresh(
+                    key, result, wall_time_s=wall_time_s, faults=events)
 
     def speedup(
         self, workload_name: str, matrix_name: str, over: str,
@@ -530,7 +514,8 @@ class ExperimentContext:
 
 
 # ----------------------------------------------------------------------
-# simulate_many worker side (module-level: must be picklable)
+# simulate_many pool-worker side (module-level: must be picklable).
+# Only pool workers run these; the parent never sets _WORKER_CONTEXT.
 # ----------------------------------------------------------------------
 _WORKER_CONTEXT: Optional[ExperimentContext] = None
 
@@ -546,9 +531,11 @@ def _init_worker_context(
     )
 
 
-def _simulate_one_point(point: Point) -> SimResult:
-    arch, workload, matrix = point
+def _simulate_one_point(point: Point) -> Tuple[SimResult, float]:
     # Chaos-test site: no-op unless a FaultPlan with a worker_death
     # fault is active AND this process is a marked pool worker.
     maybe_die("parallel.worker", "/".join(point))
-    return _WORKER_CONTEXT.simulate(arch, workload, matrix)
+    context = _WORKER_CONTEXT
+    key = context._result_key(*point, context.config, context.reorder,
+                              context.block_size)
+    return context._run_point(key, context.config)

@@ -5,12 +5,12 @@ mid-sweep, cache files torn by crashed writers, malformed SuiteSparse
 downloads. This package is the one layer that handles all of them:
 
 - :mod:`repro.resilience.supervisor` — :func:`supervised_map`, the
-  one fan-out entry point, behind ``ExperimentContext.simulate_many``'s
-  ``on_error`` policy (its outcome types and the policy driver live in
-  :mod:`repro.scheduler`): pool breaks degrade to in-process execution
-  (SP601), transient item failures retry (SP602), exhausted items are
-  recorded as first-class failures (SP603), and a per-item watchdog
-  bounds hangs (SP606).
+  one fan-out function, behind ``ExperimentContext.simulate_many``'s
+  ``on_error`` policy and the autotuner (its outcome types and the
+  pool pass live in :mod:`repro.scheduler`): pool breaks degrade to
+  in-process execution (SP601), transient item failures retry
+  (SP602), exhausted items are recorded as first-class failures
+  (SP603), and a per-item watchdog bounds hangs (SP606).
 - :mod:`repro.resilience.faults` — a seeded, deterministic
   :class:`FaultPlan` injecting worker death, cache-file corruption,
   transient engine failures, and malformed-ingest bytes at named

@@ -4,7 +4,7 @@ sweep items.
 :func:`supervised_map` keeps a sweep alive through the failures that
 used to kill it:
 
-- **Worker death** (OOM killer, segfault): the substrate records an
+- **Worker death** (OOM killer, segfault): the pool pass records an
   ``SP601`` diagnostic, the completed prefix is kept, and the
   remaining items degrade to supervised in-process execution — one
   dead worker no longer costs a 495-point sweep.
@@ -18,13 +18,13 @@ used to kill it:
   in-process attempts; expiry raises
   :class:`~repro.errors.WatchdogTimeout` carrying ``SP606``.
 
-The policy machinery itself lives in
-:func:`repro.scheduler.base.run_fanout`; this module only picks (or
-accepts) an execution substrate. ``scheduler`` selects the backend by
-registry name (``"inprocess"`` / ``"localpool"``) or accepts a live
-:class:`~repro.scheduler.base.Scheduler`; by default a process pool
-runs when there is more than one item and more than one worker,
-serial in-process otherwise.
+First attempts optionally run in one pool pass
+(:func:`repro.scheduler.localpool.pool_pass`, chosen by
+:func:`repro.scheduler.base.use_pool`); everything else — first
+attempts without a pool, items the pool never answered, every retry —
+calls ``fn`` in the calling process. So ``fn`` may close over the
+caller's state, and the fault harness's at-most-once-per-process
+firing gives the same retry trajectory on both substrates.
 
 The outcome is structured (:class:`~repro.scheduler.base.FanoutOutcome`):
 per-slot results, per-item failure records, retry diagnostics by
@@ -34,15 +34,16 @@ needs to record partial sweeps as first-class results.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar, Union
+import threading
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, TypeVar
 
+from repro.errors import Diagnostic, WatchdogTimeout
 from repro.scheduler.base import (
     DEFAULT_RETRIES,
-    POLICIES,
     FanoutOutcome,
-    Scheduler,
-    create_scheduler,
-    run_fanout,
+    PointFailure,
+    check_policy,
+    use_pool,
 )
 
 T = TypeVar("T")
@@ -50,52 +51,122 @@ T = TypeVar("T")
 __all__ = ["supervised_map"]
 
 
+def _call_with_watchdog(fn: Callable[[T], Any], item: T,
+                        timeout_s: Optional[float]) -> Any:
+    """Run one item, bounded by a watchdog thread when ``timeout_s``
+    is set. A timed-out attempt raises :class:`WatchdogTimeout`; the
+    stuck thread is a daemon and cannot block interpreter exit."""
+    if timeout_s is None:
+        return fn(item)
+    box: Dict[str, Any] = {}
+
+    def target() -> None:
+        try:
+            box["result"] = fn(item)
+        except BaseException as exc:  # re-raised in the caller below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        raise WatchdogTimeout(
+            f"item exceeded the {timeout_s}s watchdog budget",
+            diagnostics=(Diagnostic.error(
+                "SP606", f"watchdog expired after {timeout_s}s",
+            ),),
+        )
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+def _attempt(fn: Callable[[T], Any], item: T, timeout_s: Optional[float]):
+    """One in-process attempt as ``("ok", result)`` / ``("err", exc)``,
+    the answer shape of the pool pass."""
+    try:
+        return ("ok", _call_with_watchdog(fn, item, timeout_s))
+    except Exception as exc:
+        return ("err", exc)
+
+
+def _count(metrics, name: str, n: int = 1) -> None:
+    if metrics is not None and n:
+        metrics.counter(name).inc(n)
+
+
 def supervised_map(
     fn: Callable[[T], Any],
     items: Iterable[T],
     max_workers: Optional[int] = None,
-    initializer: Optional[Callable] = None,
-    initargs: Sequence = (),
-    chunksize: Optional[int] = None,
+    worker: Optional[tuple] = None,
     on_error: str = "raise",
     retries: int = DEFAULT_RETRIES,
     timeout_s: Optional[float] = None,
     labels: Optional[Sequence[str]] = None,
-    scheduler: Optional[Union[str, Scheduler]] = None,
+    scheduler: Optional[str] = None,
     metrics=None,
 ) -> FanoutOutcome:
     """Map ``fn`` over ``items`` with supervision; see module docs.
 
     Order-preserving and, for pure ``fn``, bit-identical to a serial
-    run regardless of backend or which degradation paths fire.
-    ``labels`` (same length as ``items``) name items in diagnostics;
-    defaults to the item's ``repr``. The watchdog applies to
-    in-process attempts (a pool cannot kill a hung worker without
-    killing its siblings). A ``Scheduler`` instance passed as
-    ``scheduler`` is left open for the caller; a backend *name* (or
-    the default choice) creates a scheduler owned — and shut down —
-    here. ``metrics`` receives the ``scheduler.*`` counters.
+    run regardless of substrate or which degradation paths fire.
+    ``max_workers`` and ``scheduler`` (``"inprocess"`` /
+    ``"localpool"``) pick the substrate through
+    :func:`~repro.scheduler.base.use_pool`. ``worker`` is what pool
+    workers run instead of ``fn``, as ``(worker_fn, initializer,
+    initargs)``; it defaults to ``(fn, None, ())``, so ``fn`` must
+    pickle when a pool runs without one. ``labels`` (same length as
+    ``items``) name items in diagnostics; defaults to the item's
+    ``repr``. The watchdog applies to in-process attempts (a pool
+    cannot kill a hung worker without killing its siblings).
+    ``metrics`` receives the ``scheduler.*`` counters.
     """
-    if on_error not in POLICIES:
-        raise ValueError(
-            f"on_error must be one of {POLICIES}, got {on_error!r}")
+    check_policy(on_error)
     items = list(items)
-    if isinstance(scheduler, Scheduler):
-        return run_fanout(scheduler, fn, items, on_error=on_error,
-                          retries=retries, labels=labels, metrics=metrics)
-    if scheduler is None:
-        use_pool = len(items) > 1 and (max_workers is None or max_workers > 1)
-        scheduler = "localpool" if use_pool else "inprocess"
-    owned = create_scheduler(
-        scheduler,
-        max_workers=max_workers,
-        initializer=initializer,
-        initargs=initargs,
-        chunksize=chunksize,
-        timeout_s=timeout_s,
-    )
-    try:
-        return run_fanout(owned, fn, items, on_error=on_error,
-                          retries=retries, labels=labels, metrics=metrics)
-    finally:
-        owned.shutdown()
+    pooled = use_pool(scheduler, len(items), max_workers)
+    outcome = FanoutOutcome(results=[None] * len(items))
+    if not items:
+        return outcome
+    _count(metrics, "scheduler.submitted", len(items))
+    backend = scheduler or ("localpool" if pooled else "inprocess")
+    _count(metrics, f"scheduler.backend.{backend}")
+    answers = [None] * len(items)
+    if pooled:
+        # Imported here: localpool imports the fault harness, whose
+        # package imports this module.
+        from repro.scheduler.localpool import pool_pass
+
+        answers, degraded = pool_pass(
+            worker or (fn, None, ()), items, max_workers)
+        if degraded is not None:
+            outcome.diagnostics.append(degraded)
+            outcome.pool_broken = True
+            _count(metrics, "scheduler.degraded")
+    budget = 1 + (retries if on_error == "retry" else 0)
+    for index, item in enumerate(items):
+        label = labels[index] if labels else repr(item)
+        tag, value = answers[index] or _attempt(fn, item, timeout_s)
+        attempt = 1
+        while tag == "err" and attempt < budget:
+            outcome.retried.setdefault(index, []).append(Diagnostic.warning(
+                "SP602", f"attempt {attempt}/{budget} failed ({value}); "
+                "retrying", label,
+            ))
+            _count(metrics, "scheduler.retries")
+            tag, value = _attempt(fn, item, timeout_s)
+            attempt += 1
+        if tag == "ok":
+            outcome.results[index] = value
+            _count(metrics, "scheduler.completed")
+            continue
+        _count(metrics, "scheduler.failed")
+        if on_error == "raise":
+            raise value
+        outcome.failures.append(PointFailure(
+            index=index, item=item, error=repr(value), attempts=attempt,
+            diagnostic=Diagnostic.error(
+                "SP603", f"failed after {attempt} attempt(s): {value}", label,
+            ),
+        ))
+    return outcome

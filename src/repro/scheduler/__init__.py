@@ -1,47 +1,28 @@
-"""Pluggable execution substrates behind one job-lifecycle protocol.
-
-``submit / poll / shutdown`` — see
-:mod:`repro.scheduler.base` for the contract and ``docs/scheduling.md``
-for the two backends (``inprocess`` / ``localpool``).
+"""The two execution substrates of a supervised fan-out — here, in the
+calling process (``inprocess``), or one process-pool pass
+(``localpool``). See :mod:`repro.scheduler.base` and
+``docs/scheduling.md``; the fan-out itself is
+:func:`repro.resilience.supervisor.supervised_map`.
 """
 
 from repro.scheduler.base import (
     DEFAULT_RETRIES,
-    DONE,
-    FAILED,
-    FanoutOutcome,
-    PENDING,
     POLICIES,
+    FanoutOutcome,
     PointFailure,
-    RUNNING,
-    Scheduler,
-    SchedulerJob,
-    create_scheduler,
+    check_policy,
     is_distributed,
-    register_scheduler,
-    run_fanout,
     scheduler_names,
+    use_pool,
 )
-from repro.scheduler.inprocess import InprocessScheduler
-from repro.scheduler.localpool import LocalPoolScheduler, pool_chunksize
 
 __all__ = [
     "DEFAULT_RETRIES",
-    "DONE",
-    "FAILED",
     "FanoutOutcome",
-    "InprocessScheduler",
-    "LocalPoolScheduler",
-    "PENDING",
     "POLICIES",
     "PointFailure",
-    "RUNNING",
-    "Scheduler",
-    "SchedulerJob",
-    "create_scheduler",
+    "check_policy",
     "is_distributed",
-    "pool_chunksize",
-    "register_scheduler",
-    "run_fanout",
     "scheduler_names",
+    "use_pool",
 ]

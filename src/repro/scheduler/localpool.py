@@ -1,19 +1,17 @@
-"""The local process-pool backend: ``ProcessPoolExecutor`` behind the
-scheduler protocol.
+"""The local process-pool pass: first attempts of a fan-out on a
+``ProcessPoolExecutor``.
 
 This is the **only** module in the supervised execution stack allowed
 to name ``ProcessPoolExecutor`` (selfcheck rule SP914).
 
-Driving is *batched*: the first ``poll`` ships every pending job
-through one pool pass. Per-item exceptions are captured in-worker by
-the :func:`_pooled_call` wrapper (one raising item no longer kills the
-chunked map for its neighbors). Whenever the pool stops answering — a
-worker OOM-killed (``BrokenProcessPool``), a result that cannot be
-shipped back, or no pool at all — an SP601 degradation is recorded and
-the remaining jobs complete in-process; the pool is never dropped
-silently. With one pending job or ``max_workers <= 1``
-the pool is skipped outright — parallelism would not pay, and the
-in-process path keeps the per-item watchdog applicable.
+:func:`pool_pass` ships every item through one chunked pool map.
+Per-item exceptions are captured in-worker by the :func:`_pooled_call`
+wrapper (one raising item does not kill the chunked map for its
+neighbors). Whenever the pool stops answering — a worker OOM-killed
+(``BrokenProcessPool``), a result that cannot be shipped back, or no
+pool at all — the pass returns an SP601 degradation and leaves the
+unanswered items to the caller's in-process attempts; the pool is
+never dropped silently.
 """
 
 from __future__ import annotations
@@ -22,17 +20,17 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.errors import Diagnostic
 from repro.resilience import faults
-from repro.scheduler.base import (
-    DONE,
-    FAILED,
-    PENDING,
-    Scheduler,
-    SchedulerJob,
-    register_scheduler,
-)
+
+#: What a pool worker runs: ``fn(item)`` per item, after
+#: ``initializer(*initargs)`` once per worker process.
+PoolTask = Tuple[Callable, Optional[Callable], Sequence]
+
+#: One item's answer: ``("ok", result)`` or ``("err", exception)``.
+Answer = Tuple[str, Any]
 
 
 def pool_chunksize(n_items: int, max_workers: Optional[int]) -> int:
@@ -57,7 +55,7 @@ def _worker_boot(initializer, initargs, plan) -> None:
         initializer(*initargs)
 
 
-def _pooled_call(payload: Tuple) -> Tuple:
+def _pooled_call(payload: Tuple) -> Answer:
     """In-worker wrapper: run one item and return ``("ok", result)``
     or ``("err", exception)`` — so a raising item is a *value*, not a
     dead map iterator."""
@@ -72,67 +70,49 @@ def _pooled_call(payload: Tuple) -> Tuple:
         return ("err", exc)
 
 
-@register_scheduler
-class LocalPoolScheduler(Scheduler):
-    """Process-pool execution with in-process degrade."""
-
-    name = "localpool"
-    distributed = True
-
-    def _drive(self, job: SchedulerJob) -> None:
-        pending = [j for j in self._jobs if j.status == PENDING]
-        if len(pending) > 1 and (
-            self.max_workers is None or self.max_workers > 1
-        ):
-            self._pool_pass(pending)
-        for tail in pending:
-            if tail.status == PENDING:
-                self._execute_inprocess(tail)
-
-    def _pool_pass(self, pending: List[SchedulerJob]) -> None:
-        """Ship every pending job through one pool map; jobs the pool
-        never answered for (break, result-pickling failure, no pool at
-        all) stay PENDING for the in-process tail, behind an SP601."""
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = pool_chunksize(len(pending), self.max_workers)
-        done = 0
-        try:
-            with ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_worker_boot,
-                initargs=(self.initializer, self.initargs,
-                          faults.active_plan()),
-            ) as pool:
-                results = pool.map(
-                    _pooled_call,
-                    [(j.fn, j.item) for j in pending],
-                    chunksize=chunksize,
-                )
-                try:
-                    for job in pending:
-                        tag, value = next(results)
-                        if tag == "ok":
-                            job.result = value
-                            job.status = DONE
-                        else:
-                            job.exception = value
-                            job.status = FAILED
-                        done += 1
-                except BrokenProcessPool:
-                    self._degrade(
-                        f"process pool broke after {done}/{len(pending)} "
-                        "item(s) (worker killed?); completing the sweep "
-                        "serially in-process")
-                except Exception as exc:
-                    # A result failed to come back (e.g. unpicklable);
-                    # the chunked iterator is dead.
-                    self._degrade(
-                        f"process pool lost a result after {done}/"
-                        f"{len(pending)} item(s) ({exc!r}); completing "
-                        "the sweep serially in-process")
-        except (OSError, PermissionError, ValueError) as exc:
-            # No semaphores / fork denied.
-            self._degrade(
-                f"no process pool could be created ({exc!r}); running "
-                "the sweep serially in-process")
+def pool_pass(
+    task: PoolTask, items: Sequence, max_workers: Optional[int],
+) -> Tuple[List[Optional[Answer]], Optional[Diagnostic]]:
+    """Ship every item through one pool map. Returns one answer per
+    item — ``None`` where the pool never answered (break,
+    result-pickling failure, no pool at all) — and the SP601
+    degradation when it stopped answering."""
+    fn, initializer, initargs = task
+    answers: List[Optional[Answer]] = [None] * len(items)
+    done = 0
+    message = None
+    try:
+        with ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_worker_boot,
+            initargs=(initializer, tuple(initargs), faults.active_plan()),
+        ) as pool:
+            results = pool.map(
+                _pooled_call,
+                [(fn, item) for item in items],
+                chunksize=pool_chunksize(len(items), max_workers),
+            )
+            try:
+                for answer in results:
+                    answers[done] = answer
+                    done += 1
+            except BrokenProcessPool:
+                message = (
+                    f"process pool broke after {done}/{len(items)} "
+                    "item(s) (worker killed?); completing the sweep "
+                    "serially in-process")
+            except Exception as exc:
+                # A result failed to come back (e.g. unpicklable); the
+                # chunked iterator is dead.
+                message = (
+                    f"process pool lost a result after {done}/"
+                    f"{len(items)} item(s) ({exc!r}); completing the "
+                    "sweep serially in-process")
+    except (OSError, PermissionError, ValueError) as exc:
+        # No semaphores / fork denied.
+        message = (
+            f"no process pool could be created ({exc!r}); running the "
+            "sweep serially in-process")
+    if message is None:
+        return answers, None
+    return answers, Diagnostic.warning("SP601", message)

@@ -200,6 +200,27 @@ class TestAutotune:
         ]
         assert tuned.cycles == pytest.approx(min(fixed))
 
+    def test_pool_probes_pick_the_serial_width(self):
+        from repro.arch.autotune import autotune_subtensor_cols
+        from repro.arch.config import SparsepipeConfig
+        from repro.arch.profile import WorkloadProfile
+        from repro.matrices import rmat
+
+        profile = WorkloadProfile(
+            name="pr", semiring_name="mul_add", has_oei=True,
+            n_iterations=4, path_ewise_ops=2,
+        )
+        coo = rmat(400, 3000, seed=6)
+        runs = [
+            autotune_subtensor_cols(
+                profile, coo, SparsepipeConfig(),
+                candidates=(16, 64, 64, 256), max_workers=workers)
+            for workers in (None, 2)
+        ]
+        (serial_best, serial), (pool_best, pooled) = runs
+        assert pool_best == serial_best
+        assert pooled == serial
+
     def test_rejects_empty_candidates(self):
         from repro.arch.autotune import autotune_subtensor_cols
         from repro.arch.profile import WorkloadProfile

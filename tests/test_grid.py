@@ -11,23 +11,30 @@ One cold :func:`~repro.experiments.export.collect_all` of the full
 - all 12 claims hold;
 - the cold run probes the store exactly once per point;
 - a fresh context replays every point from that store without running
-  a single engine, with identical digests.
+  a single engine, with identical digests;
+- two metamorphic relations hold on all 99 workload x matrix pairs:
+  the oracle accelerator is never slower than ``sparsepipe``, and
+  doubling DRAM bandwidth never costs ``sparsepipe`` cycles.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro.experiments.runner as runner_mod
+from repro.engine.registry import run_engine
 from repro.experiments.export import collect_all
 from repro.experiments.runner import ExperimentContext
+from repro.matrices.suite import SUITE
 
 GRID_POINTS = 675
 CLAIMS = 12
+PAIRS = 99
 
 
 def _load_gate():
@@ -127,3 +134,46 @@ def test_store_replays_grid_without_engines(cold_grid, monkeypatch):
     assert warm.metrics.value("cache.disk_hits") == GRID_POINTS
     bad = _mismatches(replayed, gate.export_digests(doc))
     assert not bad, "replayed digests differ:\n  " + "\n  ".join(bad)
+
+
+def _pairs(context):
+    return [(w, m) for w in context.all_workloads()
+            for m in context.all_matrices()]
+
+
+def test_oracle_never_slower_than_sparsepipe(cold_grid):
+    """Fig 18's oracle (perfect reuse, infinite buffer) bounds
+    Sparsepipe from below on every pair — points already in the grid."""
+    context = cold_grid[0]
+    pairs = _pairs(context)
+    slower = [
+        f"{w}/{m}" for w, m in pairs
+        if context.simulate("oracle", w, m).seconds
+        > context.simulate("sparsepipe", w, m).seconds
+    ]
+    assert len(pairs) == PAIRS
+    assert not slower, f"oracle slower than sparsepipe on {slower}"
+
+
+def test_more_bandwidth_never_costs_sparsepipe_cycles(cold_grid):
+    """Doubling DRAM bandwidth never raises ``sparsepipe`` cycles; one
+    engine run per pair over the grid's memoized profiles, outside the
+    context so the store and its counters stay untouched."""
+    context = cold_grid[0]
+    base = context.config
+    doubled = replace(base, memory=replace(
+        base.memory, bandwidth_gbps=2 * base.memory.bandwidth_gbps))
+    pairs = _pairs(context)
+    costlier = []
+    for w, m in pairs:
+        before = context.simulate("sparsepipe", w, m).cycles
+        after = run_engine(
+            "sparsepipe", doubled, context.profile(w, m), context.prepared(m),
+            paper_nnz=SUITE[m].paper_nnz,
+        ).cycles
+        if after > before:
+            costlier.append(f"{w}/{m}: {before} -> {after}")
+    assert len(pairs) == PAIRS
+    assert not costlier, (
+        "doubled bandwidth raised sparsepipe cycles on:\n  "
+        + "\n  ".join(costlier))

@@ -10,11 +10,10 @@ per backend is only the *degradation* signature — the in-process
 backend has no workers to lose, so it never records SP601 — captured
 in :data:`DEGRADE`.
 
-``REPRO_CHAOS_SEED`` overrides the plan seed (default 1234),
+``REPRO_CHAOS_SEED`` overrides the plan seed (default 1234) and
 ``REPRO_CHAOS_DIR`` pins the cache/quarantine directory so CI can
-upload it as an artifact when the suite fails, and
-``REPRO_SCHED_BACKENDS`` (comma-separated) restricts the backend
-matrix; all default to hermetic per-test values.
+upload it as an artifact when the suite fails; both default to
+hermetic per-test values.
 """
 
 import os
@@ -24,6 +23,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.errors import FormatError, InjectedFault
+from repro.experiments import runner
 from repro.experiments.runner import ExperimentContext
 from repro.formats import read_matrix_market
 from repro.obs.capture import capture_run
@@ -31,12 +31,7 @@ from repro.resilience import Fault, FaultPlan, activate, drain_fired
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
 
-ALL_BACKENDS = ("inprocess", "localpool")
-BACKENDS = tuple(
-    b for b in ALL_BACKENDS
-    if b in os.environ.get(
-        "REPRO_SCHED_BACKENDS", ",".join(ALL_BACKENDS)).split(",")
-)
+BACKENDS = ("inprocess", "localpool")
 
 #: Degradation codes each backend is *expected* to surface under
 #: worker death at rate 1.0 — the in-process backend has no worker
@@ -157,6 +152,48 @@ class TestChaosSweep:
                 chaotic.manifest(*p).status for p in POINTS[:2])
             outcomes.append((results, statuses))
         assert outcomes[0] == outcomes[1]
+
+
+class TestOneParentContext:
+    """Every attempt that runs in the parent — the tail after a pool
+    break, every retry — runs on the caller's own context, so the
+    parent materializes each suite matrix exactly as often as a serial
+    run does."""
+
+    @staticmethod
+    def _loads(monkeypatch, context, plan):
+        calls = []
+        real = runner.load_suite_matrix
+
+        def spy(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(runner, "load_suite_matrix", spy)
+        with activate(plan):
+            context.simulate_many(POINTS)
+        drain_fired()
+        context.prepared("gy")
+        context.profile("pr", "gy")
+        return len(calls)
+
+    @pytest.mark.parametrize("plan, on_error", [
+        (FaultPlan(seed=SEED, faults={
+            "parallel.worker": Fault(kind="worker_death", rate=1.0)}),
+         "raise"),
+        (FaultPlan(seed=SEED, faults={
+            "engine.run": Fault(kind="raise", rate=1.0)}),
+         "retry"),
+    ], ids=["worker_death", "engine_raise_retry"])
+    def test_parent_loads_match_serial(self, monkeypatch, plan, on_error):
+        serial = self._loads(
+            monkeypatch, ExperimentContext(), FaultPlan(seed=SEED))
+        pooled = self._loads(
+            monkeypatch,
+            ExperimentContext(max_workers=2, scheduler="localpool",
+                              on_error=on_error),
+            plan)
+        assert pooled == serial
 
 
 class TestChaosIngest:

@@ -1,16 +1,12 @@
-"""Scheduler-backend conformance suite.
+"""Execution-substrate conformance suite.
 
-One parametrized suite run identically against every registered
-backend (``inprocess`` / ``localpool``): protocol semantics
-(submit/poll/shutdown), the supervised failure policies
-(raise/skip/retry), the watchdog, and sweep-level conformance —
-bit-identical ``SimResult``s and digest-stable manifests regardless of
-substrate. Backends may not
-special-case their way out: the test ids name the backend, so a
-failure reads as a conformance violation of that backend.
-
-``REPRO_SCHED_BACKENDS`` (comma-separated) restricts the run to a
-subset — CI's scheduler matrix runs the suite once per backend.
+One parametrized suite run identically against both backends
+(``inprocess`` / ``localpool``): the substrate choice, the supervised
+failure policies (raise/skip/retry), the watchdog, and sweep-level
+conformance — bit-identical ``SimResult``s and digest-stable manifests
+regardless of substrate. Backends may not special-case their way out:
+the test ids name the backend, so a failure reads as a conformance
+violation of that backend.
 """
 
 import collections
@@ -20,27 +16,19 @@ import time
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import ConfigError, WatchdogTimeout
 from repro.experiments.runner import ExperimentContext
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import supervised_map
 from repro.scheduler import (
-    DONE,
-    FAILED,
-    PENDING,
     FanoutOutcome,
-    create_scheduler,
     is_distributed,
-    run_fanout,
     scheduler_names,
+    use_pool,
 )
 
-ALL_BACKENDS = ("inprocess", "localpool")
-BACKENDS = tuple(
-    b for b in ALL_BACKENDS
-    if b in os.environ.get(
-        "REPRO_SCHED_BACKENDS", ",".join(ALL_BACKENDS)).split(",")
-)
+BACKENDS = ("inprocess", "localpool")
 
 _PARENT_PID = os.getpid()
 
@@ -98,113 +86,127 @@ def backend(request):
     return request.param
 
 
-@pytest.fixture
-def make_scheduler(backend):
-    """Factory for schedulers of the parametrized backend; everything
-    created through it is shut down at teardown."""
-    created = []
-
-    def factory(**options):
-        sched = create_scheduler(backend, **options)
-        created.append(sched)
-        return sched
-
-    yield factory
-    for sched in created:
-        sched.shutdown()
+def fanout(backend, fn, items, **options):
+    """``supervised_map`` on ``backend`` with two workers — the pool
+    width the sweep-level tests use."""
+    return supervised_map(fn, items, scheduler=backend, max_workers=2,
+                          **options)
 
 
 class TestProtocol:
     def test_registry_knows_every_backend(self):
-        assert scheduler_names() == ALL_BACKENDS
+        assert scheduler_names() == BACKENDS
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown scheduler"):
-            create_scheduler("carrier-pigeon")
+            is_distributed("carrier-pigeon")
+        with pytest.raises(ConfigError, match="unknown scheduler"):
+            supervised_map(_double, [1], scheduler="carrier-pigeon")
 
     def test_distributed_flag(self, backend):
         assert is_distributed(backend) == (backend != "inprocess")
 
-    def test_submit_poll_lifecycle(self, make_scheduler, backend):
-        sched = make_scheduler()
-        job = sched.submit(_double, 21)
-        assert job.status == PENDING
-        assert job.job_id.startswith(backend)
-        assert sched.poll(job) == DONE
-        assert job.result == 42
 
-    def test_failure_is_a_status_not_a_crash(self, make_scheduler):
-        sched = make_scheduler()
-        job = sched.submit(_always_fails, 1)
-        assert sched.poll(job) == FAILED
-        assert isinstance(job.exception, Exception)
-        assert "permanent" in job.error
+class TestPoolDecision:
+    """use_pool is the one place a fan-out picks its substrate."""
+
+    @pytest.mark.parametrize("scheduler, n_items, max_workers, pooled", [
+        (None, 4, 2, True),
+        (None, 4, None, False),      # no width asked for: serial
+        (None, 4, 1, False),
+        (None, 1, 4, False),         # one item never pays for a pool
+        ("localpool", 4, None, True),  # the pool's default width
+        ("localpool", 4, 1, False),
+        ("localpool", 1, 2, False),  # keeps the watchdog applicable
+        ("inprocess", 4, 4, False),
+    ])
+    def test_rule(self, scheduler, n_items, max_workers, pooled):
+        assert use_pool(scheduler, n_items, max_workers) is pooled
+
+
+class TestInvalidSettings:
+    """Fan-out settings from outside the program are rejected loudly,
+    never run as a silent serial, no-retry or always-timing-out sweep."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: main(["export", "-j", "0", "out.json"]), SystemExit),
+        (lambda: main(["export", "-j", "-3", "out.json"]), SystemExit),
+        (lambda: main(["autotune", "-w", "pr", "-m", "gy", "--jobs", "0"]),
+         SystemExit),
+        (lambda: ExperimentContext(max_workers=0), ConfigError),
+        (lambda: ExperimentContext(retries=-1), ConfigError),
+        (lambda: ExperimentContext(timeout_s=-1.0), ConfigError),
+        (lambda: ExperimentContext(timeout_s=0), ConfigError),
+        (lambda: supervised_map(_double, [1], on_error="ignore"),
+         ConfigError),
+    ], ids=["jobs-0", "jobs-negative", "autotune-jobs-0", "max_workers-0",
+            "retries-negative", "timeout-negative", "timeout-0",
+            "unknown-on_error"])
+    def test_rejected(self, call, error, capsys):
+        with pytest.raises(error) as raised:
+            call()
+        if error is SystemExit:
+            assert raised.value.code == 2
+            assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestPolicies:
-    """run_fanout's raise/skip/retry semantics, per backend."""
+    """supervised_map's raise/skip/retry semantics, per backend."""
 
-    def test_identical_results(self, make_scheduler):
-        sched = make_scheduler()
-        outcome = run_fanout(sched, _double, range(6))
+    def test_identical_results(self, backend):
+        outcome = fanout(backend, _double, range(6))
         assert outcome.results == [0, 2, 4, 6, 8, 10]
         assert outcome.ok and not outcome.pool_broken
 
-    def test_empty_items(self, make_scheduler):
-        outcome = run_fanout(make_scheduler(), _double, [])
+    def test_empty_items(self, backend):
+        outcome = fanout(backend, _double, [])
         assert outcome == FanoutOutcome(results=[])
 
-    def test_raise_policy_propagates(self, make_scheduler):
+    def test_raise_policy_propagates(self, backend):
         with pytest.raises(ValueError, match="permanent"):
-            run_fanout(make_scheduler(), _always_fails, [1, 2])
+            fanout(backend, _always_fails, [1, 2])
 
-    def test_skip_policy_records_failures(self, make_scheduler):
-        outcome = run_fanout(
-            make_scheduler(), _always_fails, [1, 2, 3], on_error="skip")
+    def test_skip_policy_records_failures(self, backend):
+        outcome = fanout(backend, _always_fails, [1, 2, 3], on_error="skip")
         assert outcome.results == [None, None, None]
         assert [f.index for f in outcome.failures] == [0, 1, 2]
         assert all(f.diagnostic.code == "SP603" for f in outcome.failures)
 
-    def test_retry_policy_recovers_transients(self, make_scheduler):
+    def test_retry_policy_recovers_transients(self, backend):
         _CALLS.clear()
-        outcome = run_fanout(
-            make_scheduler(), _flaky_once, [4, 5],
-            on_error="retry", retries=2)
+        outcome = fanout(
+            backend, _flaky_once, [4, 5], on_error="retry", retries=2)
         assert outcome.results == [8, 10]
         assert outcome.ok
         assert sorted(outcome.retried) == [0, 1]
         assert all(d.code == "SP602"
                    for diags in outcome.retried.values() for d in diags)
 
-    def test_retry_policy_exhausts_to_failure(self, make_scheduler):
-        outcome = run_fanout(
-            make_scheduler(), _always_fails, [1],
-            on_error="retry", retries=2)
+    def test_retry_policy_exhausts_to_failure(self, backend):
+        outcome = fanout(
+            backend, _always_fails, [1], on_error="retry", retries=2)
         assert outcome.results == [None]
         assert outcome.failures[0].attempts == 3
 
-    def test_watchdog_times_out_hung_item(self, make_scheduler):
-        sched = make_scheduler(timeout_s=0.2)
-        outcome = run_fanout(sched, _slow, [1], on_error="skip")
+    def test_watchdog_times_out_hung_item(self, backend):
+        outcome = fanout(backend, _slow, [1], on_error="skip", timeout_s=0.2)
         assert outcome.results == [None]
         error = outcome.failures[0].error
         assert "SP606" in error or "Watchdog" in error or "watchdog" in error
 
-    def test_watchdog_raise_policy(self, make_scheduler):
+    def test_watchdog_raise_policy(self, backend):
         with pytest.raises(WatchdogTimeout):
-            run_fanout(make_scheduler(timeout_s=0.2), _slow, [1])
+            fanout(backend, _slow, [1], timeout_s=0.2)
 
-    def test_unknown_policy_rejected(self, make_scheduler):
-        with pytest.raises(ValueError, match="on_error"):
-            run_fanout(make_scheduler(), _double, [1], on_error="ignore")
+    def test_unknown_policy_rejected(self, backend):
+        with pytest.raises(ConfigError, match="on_error"):
+            fanout(backend, _double, [1], on_error="ignore")
 
-    def test_worker_death_degrades_not_crashes(self, make_scheduler,
-                                               backend):
+    def test_worker_death_degrades_not_crashes(self, backend):
         """A dead worker is a substrate degradation (SP601 + in-process
         completion) on distributed backends and a non-event on the
         in-process one — never a failed sweep."""
-        sched = make_scheduler(max_workers=2)
-        outcome = run_fanout(sched, _die_outside_parent, range(4))
+        outcome = fanout(backend, _die_outside_parent, range(4))
         assert outcome.results == [0, 2, 4, 6]
         assert outcome.ok
         if backend == "inprocess":
@@ -213,9 +215,9 @@ class TestPolicies:
             assert outcome.pool_broken
             assert {d.code for d in outcome.diagnostics} == {"SP601"}
 
-    def test_metrics_counters_flow(self, make_scheduler, backend):
+    def test_metrics_counters_flow(self, backend):
         metrics = MetricsRegistry()
-        run_fanout(make_scheduler(), _double, range(3), metrics=metrics)
+        fanout(backend, _double, range(3), metrics=metrics)
         assert metrics.counter("scheduler.submitted").value == 3
         assert metrics.counter("scheduler.completed").value == 3
         assert metrics.counter(f"scheduler.backend.{backend}").value == 1
